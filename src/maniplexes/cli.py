@@ -11,7 +11,6 @@ Exit codes: 0 success / polytopal, 1 negative verdict, 2 invalid data,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -49,21 +48,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
-
-
-def _resolve_threads(parser: _Parser, value: Optional[int]) -> int:
-    """Validate the worker-count request (currently informational only)."""
-    if value is None:
-        env = os.environ.get("MANIPLEX_THREADS")
-        if env is None:
-            return 1
-        try:
-            value = int(env)
-        except ValueError:
-            parser.error(f"MANIPLEX_THREADS must be an integer, got {env!r}")
-    if value < 1:
-        parser.error(f"--threads must be at least 1, got {value}")
-    return value
 
 
 def _load(path: str) -> Maniplex:
@@ -217,12 +201,6 @@ def _cmd_cover(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="maniplex", description=__doc__)
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker count (validated; execution is currently sequential)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="decide polytopality of an .mpx file")
@@ -297,7 +275,6 @@ def build_parser() -> _Parser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _resolve_threads(parser, args.threads)
     try:
         return args.func(args)
     except ManiplexError as err:

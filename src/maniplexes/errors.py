@@ -129,4 +129,5 @@ class ParseError(ManiplexError):
 
 
 class InconsistentVerdicts(ManiplexError):
-    """Independent polytopality criteria disagreed (internal invariant breach)."""
+    """Two computations of the same fact disagreed, such as the independent
+    polytopality criteria (an internal invariant breach, never bad input)."""

@@ -12,7 +12,13 @@ import random
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .errors import BadParam, BudgetExhausted, DegenerateBasis, ManiplexError
+from .errors import (
+    BadParam,
+    BudgetExhausted,
+    DegenerateBasis,
+    InconsistentVerdicts,
+    ManiplexError,
+)
 from .graphs import are_isomorphic, build_graph, components
 from .maniplex import Maniplex
 from .posets import induced_poset, poset_isomorphic
@@ -85,7 +91,8 @@ def torus_44(b: int, c: int) -> Maniplex:
             if w not in order:
                 order[w] = len(order)
                 queue.append(w)
-    assert len(order) == n, "vertex enumeration must match the lattice index"
+    if len(order) != n:
+        raise InconsistentVerdicts("vertex count must match the lattice index")
 
     def fid(z: tuple[int, int], du: int, s: int) -> int:
         return (order[z] * 4 + du) * 2 + s
@@ -126,7 +133,8 @@ def klein_44() -> Maniplex:
     def pack(u: tuple[int, int], w: tuple[int, int]) -> int:
         du = _DIRS.index(u)
         s = 0 if w == qturn(u) else 1
-        assert w == (qturn(u) if s == 0 else neg(qturn(u)))
+        if w != (qturn(u) if s == 0 else neg(qturn(u))):
+            raise InconsistentVerdicts(f"{w} is no quarter turn of {u} either way")
         return du * 2 + s
 
     def canon(z: tuple[int, int], u, w) -> int:
@@ -146,12 +154,10 @@ def klein_44() -> Maniplex:
             rows[2][k] = canon((0, 0), u, neg(w))
     m = Maniplex(build_graph(3, rows))
     t = torus_44(1, 0)
-    assert are_isomorphic(m.graph, t.graph) is None, (
-        "the Klein-bottle tiling must differ from the torus as a graph"
-    )
-    assert poset_isomorphic(induced_poset(m), induced_poset(t)) is not None, (
-        "the Klein-bottle tiling must share the torus's induced poset"
-    )
+    if are_isomorphic(m.graph, t.graph) is not None:
+        raise InconsistentVerdicts("the Klein tiling must differ from the torus")
+    if poset_isomorphic(induced_poset(m), induced_poset(t)) is None:
+        raise InconsistentVerdicts("the Klein tiling must share the torus's poset")
     return m
 
 
@@ -284,9 +290,8 @@ def rectified_cubic_3torus(
                 queue.append(nb)
     det = h[0][0] * h[1][1] * h[2][2]  # 8 * |det basis|
     expected = 18 * det
-    assert len(index) == expected, (
-        f"expected {expected} flags, enumerated {len(index)}"
-    )
+    if len(index) != expected:
+        raise InconsistentVerdicts(f"expected {expected} flags, got {len(index)}")
     rows = [[0] * len(index) for _ in range(4)]
     for fl, k in index.items():
         for c in range(4):

@@ -223,7 +223,7 @@ def are_isomorphic(
         raise DisconnectedInput("isomorphism search requires connected graphs")
     for anchor in range(h.size):
         phi = _propagate(g, h, anchor)
-        if phi is not None:
+        if phi is not None and len(set(phi)) == g.size:
             return phi
     return None
 
@@ -231,7 +231,8 @@ def are_isomorphic(
 def _propagate(
     g: ColouredGraph, h: ColouredGraph, anchor: int
 ) -> Optional[tuple[int, ...]]:
-    """Extend ``0 -> anchor`` along edges; None on any conflict."""
+    """The colour-preserving map extending ``0 -> anchor`` over a connected
+    ``g``, or None on any conflict."""
     phi = [-1] * g.size
     phi[0] = anchor
     stack = [0]
@@ -245,6 +246,4 @@ def _propagate(
                 stack.append(w)
             elif phi[w] != img:
                 return None
-    if -1 in phi or len(set(phi)) != g.size:
-        return None
     return tuple(phi)

@@ -17,6 +17,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import (
     BadTwoFactor,
     Disconnected,
+    InconsistentVerdicts,
     OutOfRange,
     PathUsesPivotColour,
     RankOutOfRange,
@@ -159,7 +160,8 @@ class Maniplex:
         above = high.block_of(face.rep)
         size = len(face.flags)
         degree, rem = divmod(len(below) * len(above), size)
-        assert rem == 0, "low/high coordinate map must have constant degree"
+        if rem:
+            raise InconsistentVerdicts("the low/high map must have constant degree")
         unique = degree == 1
         if unique:
             # Coordinates are unique iff each high-component meets `below`
@@ -275,6 +277,6 @@ def normalize_path(
         nxt = walk(m, at, seg)
         segments.append(ColouredPath(start=at, colours=tuple(seg), end=nxt))
         at = nxt
-    assert pos == len(cols), "rewriting left an out-of-window colour"
-    assert at == path.end, "rewriting changed the path endpoint"
+    if pos != len(cols) or at != path.end:
+        raise InconsistentVerdicts("rewriting left a colour or moved the endpoint")
     return segments

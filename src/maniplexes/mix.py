@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import OutOfRange, RankMismatch
-from .graphs import build_graph
+from .errors import InconsistentVerdicts, OutOfRange, RankMismatch
+from .graphs import _propagate, build_graph
 from .maniplex import Maniplex
 
 
@@ -88,23 +88,9 @@ def find_covering(m: Maniplex, n: Maniplex) -> Optional[CoveringMap]:
     if m.rank != n.rank:
         return None
     for anchor in range(n.size):
-        phi = [-1] * m.size
-        phi[0] = anchor
-        stack = [0]
-        ok = True
-        while stack and ok:
-            v = stack.pop()
-            for c in range(m.rank):
-                u = m.graph.matchings[c][v]
-                img = n.graph.matchings[c][phi[v]]
-                if phi[u] == -1:
-                    phi[u] = img
-                    stack.append(u)
-                elif phi[u] != img:
-                    ok = False
-                    break
-        if ok:
-            out = tuple(phi)
-            assert is_covering(m, n, out)
-            return CoveringMap(out)
+        phi = _propagate(m.graph, n.graph, anchor)
+        if phi is not None:
+            if not is_covering(m, n, phi):
+                raise InconsistentVerdicts("a consistent extension must cover")
+            return CoveringMap(phi)
     return None

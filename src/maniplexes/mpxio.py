@@ -111,9 +111,8 @@ def poset_dot(p: InducedPoset) -> str:
     counts = p.counts()
     for k in range(counts[0] if p.n > 0 else 0):
         lines.append(f"  {node(-1, 0)} -> {node(0, k)};")
-    adj = p._consecutive_adj()
-    for r, level in enumerate(adj):
-        for k, ups in enumerate(level):
+    for r in range(p.n - 1):
+        for k, ups in enumerate(p.up[r][r + 1]):
             for k2 in ups:
                 lines.append(f"  {node(r, k)} -> {node(r + 1, k2)};")
     for k in range(counts[-1] if p.n > 0 else 0):

@@ -36,7 +36,6 @@ from .posets import (
     InducedPoset,
     MaximalChain,
     PosetReport,
-    all_chains,
     chain_of_flag,
     induced_poset,
     is_polytope,
@@ -128,32 +127,6 @@ def check_cip(m: Maniplex) -> CheckResult:
             if met != target:
                 a, b = _split_pair(met, target)
                 return CheckResult(False, CipWitness(sub, a, b))
-    return CheckResult(True)
-
-
-def check_cip_via_chains(
-    m: Maniplex, p: Optional[InducedPoset] = None
-) -> CheckResult:
-    """Second, independent intersection oracle via chains of faces.
-
-    For every chain, the faces' common flag set must form a single component
-    of the subgraph using the colours outside the chain's ranks.  Exhaustive
-    over all chains, so only suitable for small posets.
-    """
-    if p is None:
-        p = induced_poset(m)
-    for refs in all_chains(p):
-        ranks = frozenset(r for r, _ in refs)
-        inter = p.flags_of(refs[0])
-        for ref in refs[1:]:
-            inter = inter & p.flags_of(ref)
-        part = m.components_of(c for c in range(m.rank) if c not in ranks)
-        ids = {part.ids[f] for f in inter}
-        if len(ids) != 1:
-            flags = sorted(inter)
-            first = part.ids[flags[0]]
-            other = next(f for f in flags if part.ids[f] != first)
-            return CheckResult(False, (refs, (flags[0], other)))
     return CheckResult(True)
 
 

@@ -12,14 +12,16 @@ strong flag connectivity, and faithfulness of the flag-to-chain map.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import NotAChain, NotComparable, OutOfRange
-from .graphs import Partition, meet_all
+from .errors import InconsistentVerdicts, NotAChain, NotComparable, OutOfRange
+from .graphs import meet_all
 from .maniplex import Maniplex
 
 Ref = tuple[int, int]
+Table = tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -61,9 +63,10 @@ class InducedPoset:
     """A ranked bounded poset whose proper elements carry flag sets.
 
     ``level_flags[r][k]`` is the flag set of element ``(r, k)``; ``universe``
-    is the flag set of both improper elements.  Comparability of proper
-    elements is rank inequality plus nonempty flag-set intersection, so
-    sections of a poset reuse the ambient flag sets unchanged.
+    is the flag set of both improper elements.  The order lives in one
+    incidence table: for proper ranks ``r < s``, ``up[r][s][k]`` lists, in
+    ascending order, the rank-``s`` indices above ``(r, k)`` (entries with
+    ``s <= r`` are empty).  Improper elements bound everything.
     """
 
     def __init__(
@@ -71,13 +74,14 @@ class InducedPoset:
         n: int,
         level_flags: Iterable[Iterable[frozenset[int]]],
         universe: frozenset[int],
+        up: Table,
         source: Optional[Maniplex] = None,
     ):
         self.n = n
         self.level_flags = tuple(tuple(level) for level in level_flags)
         self.universe = frozenset(universe)
+        self.up = up
         self.source = source
-        self._adj: Optional[tuple[tuple[tuple[int, ...], ...], ...]] = None
         self._chains: Optional[tuple[tuple[int, ...], ...]] = None
         self._report: Optional[PosetReport] = None
 
@@ -114,14 +118,10 @@ class InducedPoset:
         return self.level_flags[r][k]
 
     def leq(self, a: Ref, b: Ref) -> bool:
-        """Order relation: equal, or lower rank with intersecting flag sets."""
+        """Order relation: equal, or lower rank and incident."""
         self._check_ref(a)
         self._check_ref(b)
-        if a == b:
-            return True
-        if a[0] >= b[0]:
-            return False
-        return bool(self.flags_of(a) & self.flags_of(b))
+        return a == b or b[1] in _above(self, a, b[0])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InducedPoset):
@@ -130,27 +130,13 @@ class InducedPoset:
             self.n == other.n
             and self.level_flags == other.level_flags
             and self.universe == other.universe
+            and self.up == other.up
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.level_flags, self.universe))
+        return hash((self.n, self.level_flags, self.universe, self.up))
 
     # -- chains ---------------------------------------------------------------
-
-    def _consecutive_adj(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """``adj[r][k]``: indices at rank ``r + 1`` incident to ``(r, k)``."""
-        if self._adj is None:
-            adj = []
-            for r in range(self.n - 1):
-                lo, hi = self.level_flags[r], self.level_flags[r + 1]
-                adj.append(
-                    tuple(
-                        tuple(k2 for k2, f2 in enumerate(hi) if f1 & f2)
-                        for f1 in lo
-                    )
-                )
-            self._adj = tuple(adj)
-        return self._adj
 
     def _chain_tuples(self) -> tuple[tuple[int, ...], ...]:
         """All maximal chains as per-rank face indices, in lex order."""
@@ -158,7 +144,7 @@ class InducedPoset:
             if self.n <= 0:
                 self._chains = ((),)
             else:
-                adj = self._consecutive_adj()
+                up = self.up
                 out: list[tuple[int, ...]] = []
                 prefix: list[int] = []
 
@@ -167,7 +153,7 @@ class InducedPoset:
                     if r == self.n - 1:
                         out.append(tuple(prefix))
                     else:
-                        for k2 in adj[r][k]:
+                        for k2 in up[r][r + 1][k]:
                             rec(r + 1, k2)
                     prefix.pop()
 
@@ -192,16 +178,39 @@ class InducedPoset:
         return self._report
 
 
+def _above(p: InducedPoset, ref: Ref, s: int) -> Sequence[int]:
+    """Indices of the rank-``s`` elements strictly above ``ref``."""
+    r, k = ref
+    if r >= s:
+        return ()
+    if s == p.n:
+        return range(1)
+    if r == -1:
+        return range(len(p.level_flags[s]))
+    return p.up[r][s][k]
+
+
 def induced_poset(m: Maniplex) -> InducedPoset:
-    """The face poset of a maniplex, with one level per colour."""
-    return InducedPoset(
-        n=m.rank,
-        level_flags=(
-            tuple(f.flags for f in m.faces(i)) for i in range(m.rank)
-        ),
-        universe=frozenset(range(m.size)),
-        source=m,
-    )
+    """The face poset of a maniplex, with one level per colour.
+
+    A face's index is its block id in the colour-``i``-removed partition
+    (both order faces by smallest flag), and two faces meet exactly when
+    some flag carries both ids, so one pass over the flags per rank pair
+    yields the incidence table.
+    """
+    n = m.rank
+    ids = [m.components_of(c for c in range(n) if c != i).ids for i in range(n)]
+    level_flags = tuple(tuple(f.flags for f in m.faces(i)) for i in range(n))
+    up = []
+    for r in range(n):
+        row: list[tuple[tuple[int, ...], ...]] = [()] * n
+        for s in range(r + 1, n):
+            acc: list[list[int]] = [[] for _ in level_flags[r]]
+            for k, l in sorted(set(zip(ids[r], ids[s]))):
+                acc[k].append(l)
+            row[s] = tuple(map(tuple, acc))
+        up.append(tuple(row))
+    return InducedPoset(n, level_flags, frozenset(range(m.size)), tuple(up), m)
 
 
 def maximal_chains(p: InducedPoset) -> tuple[MaximalChain, ...]:
@@ -236,12 +245,13 @@ def chain_intersection(
         for b in proper[i + 1 :]:
             if a[0] == b[0]:
                 raise NotAChain(f"faces {a} and {b} share rank {a[0]}")
-            if not p.leq(a, b):
+            if b[1] not in p.up[a[0]][b[0]][a[1]]:
                 raise NotAChain(f"faces {a} and {b} are incomparable")
     inter = p.universe
     for ref in proper:
         inter = inter & p.flags_of(ref)
-    assert inter, "a chain of faces must share at least one flag"
+    if not inter:
+        raise InconsistentVerdicts("a chain of faces must share a flag")
     return inter
 
 
@@ -252,9 +262,8 @@ def all_chains(p: InducedPoset) -> Iterator[tuple[Ref, ...]]:
     def rec(next_rank: int) -> Iterator[tuple[Ref, ...]]:
         for r in range(next_rank, p.n):
             for k in range(len(p.level_flags[r])):
-                ref = (r, k)
-                if all(p.leq(prev, ref) for prev in chosen):
-                    chosen.append(ref)
+                if all(k in p.up[q][r][j] for q, j in chosen):
+                    chosen.append((r, k))
                     yield tuple(chosen)
                     yield from rec(r + 1)
                     chosen.pop()
@@ -263,25 +272,35 @@ def all_chains(p: InducedPoset) -> Iterator[tuple[Ref, ...]]:
 
 
 def section(p: InducedPoset, a: Ref, b: Ref) -> InducedPoset:
-    """The interval ``{h : a <= h <= b}`` re-ranked with ``a, b`` improper."""
-    p._check_ref(a)
-    p._check_ref(b)
+    """The interval ``{h : a <= h <= b}`` re-ranked with ``a, b`` improper.
+
+    Levels and incidences are the ambient ones, re-indexed in ascending
+    order, so a section keeps the ambient order.
+    """
     if not p.leq(a, b):
         raise NotComparable(f"{a} is not below {b}")
-    levels = []
-    for r in range(a[0] + 1, b[0]):
-        levels.append(
-            tuple(
-                fl
-                for k, fl in enumerate(p.level_flags[r])
-                if p.leq(a, (r, k)) and p.leq((r, k), b)
-            )
+    ranks = range(a[0] + 1, b[0])
+    kept = [
+        [k for k in _above(p, a, r) if b[1] in _above(p, (r, k), b[0])]
+        for r in ranks
+    ]
+    new = [{k: i for i, k in enumerate(ks)} for ks in kept]
+    up = tuple(
+        tuple(
+            tuple(tuple(ids[l] for l in p.up[r][s][k] if l in ids) for k in ks)
+            if s > r
+            else ()
+            for s, ids in zip(ranks, new)
         )
+        for r, ks in zip(ranks, kept)
+    )
     return InducedPoset(
         n=b[0] - a[0] - 1,
-        level_flags=levels,
+        level_flags=[
+            [p.level_flags[r][k] for k in ks] for r, ks in zip(ranks, kept)
+        ],
         universe=p.flags_of(a) & p.flags_of(b),
-        source=None,
+        up=up,
     )
 
 
@@ -320,31 +339,6 @@ def is_faithful(m: Maniplex, p: Optional[InducedPoset] = None) -> CheckResult:
     return CheckResult(False, (chain_of_flag(m, block[0]), (block[0], block[1])))
 
 
-def faithful_by_chain_count(m: Maniplex, p: InducedPoset) -> CheckResult:
-    """Faithfulness via ``#maximal chains == #flags`` (the map is onto)."""
-    chains = len(p._chain_tuples())
-    if chains == m.size:
-        return CheckResult(True)
-    return CheckResult(False, (chains, m.size))
-
-
-def faithful_by_enumeration(m: Maniplex, p: InducedPoset) -> CheckResult:
-    """Faithfulness via every maximal chain meeting in exactly one flag."""
-    for ct in p._chain_tuples():
-        refs = tuple((r, k) for r, k in enumerate(ct))
-        inter = chain_intersection(p, refs)
-        if len(inter) > 1:
-            flags = sorted(inter)
-            return CheckResult(
-                False,
-                (
-                    MaximalChain(((-1, 0),) + refs + ((p.n, 0),)),
-                    (flags[0], flags[1]),
-                ),
-            )
-    return CheckResult(True)
-
-
 # -- polytope conditions ------------------------------------------------------
 
 
@@ -352,23 +346,18 @@ def uniform_chain_length(p: InducedPoset) -> CheckResult:
     """Whether every maximal chain of the order has one face per rank.
 
     Equivalent local form: every strict pair with a rank gap admits an
-    intermediate element one rank above the lower face.
+    intermediate element one rank above the lower face.  The witness is the
+    first such pair ``(a, b)`` in ref order.
     """
-    refs = list(p.refs(include_improper=True))
-    for a in refs:
-        for b in refs:
-            if b[0] - a[0] < 2 or not p.leq(a, b):
-                continue
-            r = a[0] + 1
-            mids = (
-                range(1)
-                if r == -1 or r == p.n
-                else range(len(p.level_flags[r]))
-            )
-            if not any(
-                p.leq(a, (r, k)) and p.leq((r, k), b) for k in mids
-            ):
-                return CheckResult(False, (a, b))
+    for a in p.refs(include_improper=True):
+        r = a[0] + 1
+        for s in range(r + 1, p.n + 1):
+            reached = {
+                l for mid in _above(p, a, r) for l in _above(p, (r, mid), s)
+            }
+            for l in _above(p, a, s):
+                if l not in reached:
+                    return CheckResult(False, (a, (s, l)))
     return CheckResult(True)
 
 
@@ -379,24 +368,15 @@ def diamond(p: InducedPoset) -> CheckResult:
     and ``F`` of rank ``i + 1`` there must be exactly two rank-``i`` faces
     between them.  The witness is the first ``(E, F, count)`` violation.
     """
-
-    def level(r: int) -> list[Ref]:
-        if r == -1 or r == p.n:
-            return [(r, 0)]
-        return [(r, k) for k in range(len(p.level_flags[r]))]
-
     for i in range(p.n):
-        for e in level(i - 1):
-            for f in level(i + 1):
-                if not p.leq(e, f):
-                    continue
-                count = sum(
-                    1
-                    for g in level(i)
-                    if p.leq(e, g) and p.leq(g, f)
-                )
-                if count != 2:
-                    return CheckResult(False, (e, f, count))
+        for k in range(len(p.level_flags[i - 1]) if i > 0 else 1):
+            e = (i - 1, k)
+            between = Counter(
+                l for g in _above(p, e, i) for l in _above(p, (i, g), i + 1)
+            )
+            for l in _above(p, e, i + 1):
+                if between[l] != 2:
+                    return CheckResult(False, (e, (i + 1, l), between[l]))
     return CheckResult(True)
 
 
@@ -504,22 +484,20 @@ def poset_isomorphic(
     if p.n != q.n or p.counts() != q.counts():
         return None
 
-    def profile(s: InducedPoset, ref: Ref) -> tuple[int, ...]:
-        down = sum(
-            1
-            for k in range(len(s.level_flags[ref[0] - 1]))
-            if s.leq((ref[0] - 1, k), ref)
-        ) if ref[0] > 0 else 0
-        up = sum(
-            1
-            for k in range(len(s.level_flags[ref[0] + 1]))
-            if s.leq(ref, (ref[0] + 1, k))
-        ) if ref[0] < s.n - 1 else 0
-        return (down, up)
+    def profiles(s: InducedPoset) -> dict[Ref, tuple[int, int]]:
+        down = {ref: 0 for ref in s.refs()}
+        for r in range(1, s.n):
+            for ups in s.up[r - 1][r]:
+                for k in ups:
+                    down[(r, k)] += 1
+        return {
+            (r, k): (d, len(s.up[r][r + 1][k]) if r < s.n - 1 else 0)
+            for (r, k), d in down.items()
+        }
 
-    p_refs = [(r, k) for r in range(p.n) for k in range(len(p.level_flags[r]))]
-    q_prof = {ref: profile(q, ref) for ref in q.refs()}
-    p_prof = {ref: profile(p, ref) for ref in p_refs}
+    p_refs = list(p.refs())
+    q_prof = profiles(q)
+    p_prof = profiles(p)
     if sorted(p_prof.values()) != sorted(q_prof.values()):
         return None
 
@@ -534,14 +512,11 @@ def poset_isomorphic(
             b = (a[0], k)
             if b in used or q_prof[b] != p_prof[a]:
                 continue
-            ok = True
-            for a2, b2 in mapping.items():
-                if p.leq(a2, a) != q.leq(b2, b) or p.leq(a, a2) != q.leq(
-                    b, b2
-                ):
-                    ok = False
-                    break
-            if ok:
+            # Refs are mapped in rank order, so only a2 < a can hold.
+            if all(
+                (a[1] in _above(p, a2, a[0])) == (b[1] in _above(q, b2, b[0]))
+                for a2, b2 in mapping.items()
+            ):
                 mapping[a] = b
                 used.add(b)
                 if rec(pos + 1):

@@ -10,7 +10,9 @@ polytopality verdicts precomputed, shared by the equivalence suites.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,13 @@ from maniplexes import (
     random_maniplex,
     rectified_cubic_3torus,
     torus_44,
+)
+
+# The CLI tests run the package in child processes, which must import it from
+# this source tree too; pyproject's `pythonpath` reaches only this process.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (SRC, os.environ.get("PYTHONPATH")))
 )
 
 ODDBALL8_ROWS = (

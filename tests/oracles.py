@@ -1,0 +1,117 @@
+"""Reference implementations the suite checks the library against.
+
+None of these is part of the package.  ``check_cip_via_chains``,
+``faithful_by_chain_count`` and ``faithful_by_enumeration`` are independent
+oracles for the intersection property and faithfulness.  ``leq``,
+``diamond`` and ``uniform_chain_length`` restate the poset order as the
+paper defines it, rank plus nonempty flag-set intersection, and the two
+checks as plain loops over that relation, with the library's scan order
+and witnesses; they are slow and only meant for comparison.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from maniplexes import (
+    CheckResult,
+    InducedPoset,
+    Maniplex,
+    all_chains,
+    chain_intersection,
+    induced_poset,
+)
+
+
+def check_cip_via_chains(
+    m: Maniplex, p: Optional[InducedPoset] = None
+) -> CheckResult:
+    """Second, independent intersection oracle via chains of faces.
+
+    For every chain, the faces' common flag set must form a single component
+    of the subgraph using the colours outside the chain's ranks.  Exhaustive
+    over all chains, so only suitable for small posets.
+    """
+    if p is None:
+        p = induced_poset(m)
+    for refs in all_chains(p):
+        ranks = frozenset(r for r, _ in refs)
+        inter = p.flags_of(refs[0])
+        for ref in refs[1:]:
+            inter = inter & p.flags_of(ref)
+        part = m.components_of(c for c in range(m.rank) if c not in ranks)
+        ids = {part.ids[f] for f in inter}
+        if len(ids) != 1:
+            flags = sorted(inter)
+            first = part.ids[flags[0]]
+            other = next(f for f in flags if part.ids[f] != first)
+            return CheckResult(False, (refs, (flags[0], other)))
+    return CheckResult(True)
+
+
+def faithful_by_chain_count(m: Maniplex, p: InducedPoset) -> CheckResult:
+    """Faithfulness via ``#maximal chains == #flags`` (the map is onto)."""
+    chains = len(p.maximal_chains())
+    if chains == m.size:
+        return CheckResult(True)
+    return CheckResult(False, (chains, m.size))
+
+
+def faithful_by_enumeration(m: Maniplex, p: InducedPoset) -> CheckResult:
+    """Faithfulness via every maximal chain meeting in exactly one flag."""
+    for chain in p.maximal_chains():
+        inter = chain_intersection(p, chain.proper)
+        if len(inter) > 1:
+            flags = sorted(inter)
+            return CheckResult(False, (chain, (flags[0], flags[1])))
+    return CheckResult(True)
+
+
+# -- the order by flag-set intersection ----------------------------------------
+
+
+def leq(p: InducedPoset, a, b) -> bool:
+    """Equal, or lower rank with intersecting flag sets."""
+    if a == b:
+        return True
+    if a[0] >= b[0]:
+        return False
+    return bool(p.flags_of(a) & p.flags_of(b))
+
+
+def _level(p: InducedPoset, r: int) -> list:
+    if r == -1 or r == p.n:
+        return [(r, 0)]
+    return [(r, k) for k in range(len(p.level_flags[r]))]
+
+
+def uniform_chain_length(p: InducedPoset) -> CheckResult:
+    """Every strict pair ``a < b`` with a rank gap has an element one rank
+    above ``a`` between them; witness: the first failing pair."""
+    refs = list(p.refs(include_improper=True))
+    for a in refs:
+        for b in refs:
+            if b[0] - a[0] < 2 or not leq(p, a, b):
+                continue
+            if not any(
+                leq(p, a, g) and leq(p, g, b) for g in _level(p, a[0] + 1)
+            ):
+                return CheckResult(False, (a, b))
+    return CheckResult(True)
+
+
+def diamond(p: InducedPoset) -> CheckResult:
+    """Exactly two rank-``i`` elements between incident ``E`` of rank
+    ``i - 1`` and ``F`` of rank ``i + 1``; witness: the first
+    ``(E, F, count)`` violation."""
+    for i in range(p.n):
+        for e in _level(p, i - 1):
+            for f in _level(p, i + 1):
+                if not leq(p, e, f):
+                    continue
+                count = sum(
+                    1 for g in _level(p, i) if leq(p, e, g) and leq(p, g, f)
+                )
+                if count != 2:
+                    return CheckResult(False, (e, f, count))
+    return CheckResult(True)

@@ -169,17 +169,16 @@ def test_cover_absent_exits_one(tmp_path):
     assert run("cover", t10, T11).returncode == 1
 
 
-# -- threads flag --------------------------------------------------------------------
+# -- no threads option --------------------------------------------------------------
 
 
-def test_threads_flag_and_env_do_not_change_output():
-    # Compare MANIPLEX_THREADS unset, set to 2, and overridden by --threads 4.
+def test_threads_option_and_variable_are_gone():
+    # `--threads` is an unknown option; MANIPLEX_THREADS is not read at all.
     # Each child inherits the rest of the environment, PYTHONPATH included.
     unset = {k: v for k, v in os.environ.items() if k != "MANIPLEX_THREADS"}
+    assert run("--threads", "4", "check", T11, env=unset).returncode == 64
     base = run("check", "--json", T11, env=unset)
     assert base.stdout, base.stderr
-    flagged = run("--threads", "4", "check", "--json", T11, env=unset)
-    assert flagged.stdout == base.stdout and flagged.returncode == base.returncode
-    env_run = run("check", "--json", T11, env={**unset, "MANIPLEX_THREADS": "2"})
+    env_run = run("check", "--json", T11, env={**unset, "MANIPLEX_THREADS": "abc"})
     assert env_run.returncode == base.returncode, env_run.stderr
     assert env_run.stdout == base.stdout, env_run.stderr

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from maniplexes import (
@@ -15,7 +17,7 @@ from maniplexes import (
     polygon,
     torus_44,
 )
-from maniplexes.errors import RankMismatch
+from maniplexes.errors import InconsistentVerdicts, RankMismatch
 
 # frozen (a, b, |a|, |b|, |a mix b|) table
 MIX_SIZES = [
@@ -131,3 +133,11 @@ def test_no_covering_between_incompatible_quotients():
 def test_is_covering_rejects_a_broken_map():
     t20, t10 = torus_44(2, 0), torus_44(1, 0)
     assert not is_covering(t20, t10, tuple([0] * 32))
+
+
+def test_covering_self_check_raises_a_typed_error(monkeypatch):
+    # The self-check is a raise, not an assert, so it also runs under -O.
+    mix_module = importlib.import_module("maniplexes.mix")
+    monkeypatch.setattr(mix_module, "is_covering", lambda m, n, phi: False)
+    with pytest.raises(InconsistentVerdicts):
+        find_covering(torus_44(2, 0), torus_44(1, 0))

@@ -10,7 +10,6 @@ from maniplexes import (
     beta,
     build_graph,
     check_cip,
-    check_cip_via_chains,
     check_spip,
     check_wpip,
     flag_graph,
@@ -26,6 +25,7 @@ from maniplexes import (
 )
 from maniplexes.errors import NotAPolytope, RankTooLargeForExhaustive
 from conftest import ALT_3TORUS_BASIS, POLYTOPAL_NAMES
+from oracles import check_cip_via_chains
 
 
 # -- CIP --------------------------------------------------------------------------

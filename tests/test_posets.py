@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
 from maniplexes import (
+    InducedPoset,
     MaximalChain,
     all_chains,
     chain_intersection,
     chain_of_flag,
     diamond,
-    faithful_by_chain_count,
-    faithful_by_enumeration,
     hypercube,
     induced_poset,
     is_faithful,
@@ -26,6 +28,7 @@ from maniplexes import (
     uniform_chain_length,
 )
 from maniplexes.errors import NotAChain, NotComparable
+from oracles import faithful_by_chain_count, faithful_by_enumeration
 
 
 # (proper level sizes, maximal chains, uniform, diamond, sfc, faithful, polytope)
@@ -151,8 +154,8 @@ def test_leq_is_a_partial_order_on_every_fixture(all_posets):
 
 
 def test_leq_equals_hasse_cover_reachability(all_posets):
-    # the order is stored as flag-set containment tests; this cross-checks it
-    # against reachability through consecutive-rank cover edges.
+    # the order is stored as an incidence table for every rank pair; this
+    # cross-checks it against reachability through consecutive-rank edges.
     for name, p in all_posets.items():
         refs, idx, mat = _leq_matrix(p)
         n = len(refs)
@@ -167,6 +170,77 @@ def test_leq_equals_hasse_cover_reachability(all_posets):
         for i in range(n):
             for j in range(n):
                 assert mat[i][j] == reach[i][j], (name, refs[i], refs[j])
+
+
+# -- the incidence table against the flag-set order --------------------------------
+
+
+def _assert_matches_oracles(p, label):
+    refs = list(p.refs(include_improper=True))
+    got = [[p.leq(a, b) for b in refs] for a in refs]
+    assert got == [[oracles.leq(p, a, b) for b in refs] for a in refs], label
+    assert diamond(p) == oracles.diamond(p), label
+    assert uniform_chain_length(p) == oracles.uniform_chain_length(p), label
+
+
+def _sections(p):
+    """Every ``section(p, a, b)`` with a rank gap of three or more."""
+    refs = list(p.refs(include_improper=True))
+    for a in refs:
+        for b in refs:
+            if b[0] - a[0] >= 3 and oracles.leq(p, a, b):
+                yield (a, b), section(p, a, b)
+
+
+def test_table_matches_flag_set_order_on_fixtures(all_posets):
+    for name, p in all_posets.items():
+        _assert_matches_oracles(p, name)
+
+
+def test_table_matches_flag_set_order_on_corpus(corpus):
+    failures = 0
+    for sample in corpus:
+        p = induced_poset(sample.maniplex)
+        _assert_matches_oracles(p, sample.seed)
+        failures += not diamond(p).holds
+    assert failures == 497
+
+
+def test_table_matches_flag_set_order_on_sections(all_posets):
+    sections = failures = 0
+    for name, p in all_posets.items():
+        for ends, s in _sections(p):
+            _assert_matches_oracles(s, (name, ends))
+            sections += 1
+            failures += not diamond(s).holds
+    assert (sections, failures) == (562, 70)
+
+
+@st.composite
+def flag_set_posets(draw):
+    """Small ranked posets on flags ``0..5`` ordered by flag-set intersection,
+    most of them far from polytopes (uniform chain length often fails)."""
+    n = draw(st.integers(1, 4))
+    subsets = st.frozensets(st.integers(0, 5), min_size=1)
+    levels = [draw(st.lists(subsets, min_size=1, max_size=4)) for _ in range(n)]
+    up = tuple(
+        tuple(
+            tuple(
+                tuple(l for l, g in enumerate(levels[s]) if f & g)
+                for f in levels[r]
+            )
+            if s > r
+            else ()
+            for s in range(n)
+        )
+        for r in range(n)
+    )
+    return InducedPoset(n, levels, frozenset(range(6)), up)
+
+
+@given(flag_set_posets())
+def test_table_checks_match_oracles_on_arbitrary_posets(p):
+    _assert_matches_oracles(p, p.level_flags)
 
 
 # -- chains -----------------------------------------------------------------------
