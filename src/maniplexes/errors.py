@@ -103,10 +103,6 @@ class NotAPolytope(ManiplexError):
     """A poset operation that requires polytopality found a violation."""
 
 
-class RankTooLargeForExhaustive(ManiplexError):
-    """Exhaustive subset enumeration was requested above the supported rank."""
-
-
 class BadParam(ManiplexError):
     """A generator parameter is invalid (e.g. polygon size below 2)."""
 

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .errors import (
-    InconsistentVerdicts,
-    ManiplexError,
-    NotAPolytope,
-    RankTooLargeForExhaustive,
-)
+from .errors import InconsistentVerdicts, ManiplexError, NotAPolytope
 from .graphs import (
     Partition,
     are_isomorphic,
@@ -106,7 +101,7 @@ def _split_pair(coarse: Partition, fine: Partition) -> tuple[int, int]:
         for f in block[1:]:
             if fine.ids[f] != tid:
                 return block[0], f
-    raise AssertionError("partitions compared unequal but nothing splits")
+    raise InconsistentVerdicts("partitions compared unequal but nothing splits")
 
 
 def check_cip(m: Maniplex) -> CheckResult:
@@ -151,22 +146,17 @@ def check_wpip(m: Maniplex) -> WpipResult:
     return WpipResult(not failures, first, tuple(failures))
 
 
-def check_spip(m: Maniplex, exhaustive: bool = False) -> CheckResult:
+def check_spip(m: Maniplex) -> CheckResult:
     """Symmetric property: for any colour subsets ``A, B``, the meet of
     their component partitions must equal the components of ``A & B``.
 
     Exhaustive over all subset pairs for rank at most 6 (pairs where one
     subset contains the other hold trivially and are skipped; the empty
-    subset is included).  Above rank 6 the exhaustive scan is refused and
-    the verdict is delegated to the interval property, whose witnesses are
-    valid subset pairs here.
+    subset is included).  Above rank 6 the verdict is delegated to the
+    interval property, whose witnesses are valid subset pairs here.
     """
     n = m.rank
     if n > 6:
-        if exhaustive:
-            raise RankTooLargeForExhaustive(
-                f"rank {n} would need {4 ** n} subset pairs"
-            )
         w = check_wpip(m)
         if w.holds:
             return CheckResult(True)

@@ -277,8 +277,8 @@ def section(p: InducedPoset, a: Ref, b: Ref) -> InducedPoset:
     Levels and incidences are the ambient ones, re-indexed in ascending
     order, so a section keeps the ambient order.
     """
-    if not p.leq(a, b):
-        raise NotComparable(f"{a} is not below {b}")
+    if a == b or not p.leq(a, b):
+        raise NotComparable(f"{a} is not strictly below {b}")
     ranks = range(a[0] + 1, b[0])
     kept = [
         [k for k in _above(p, a, r) if b[1] in _above(p, (r, k), b[0])]
@@ -321,7 +321,7 @@ def chain_of_flag(m: Maniplex, flag: int) -> MaximalChain:
     )
 
 
-def is_faithful(m: Maniplex, p: Optional[InducedPoset] = None) -> CheckResult:
+def is_faithful(m: Maniplex) -> CheckResult:
     """Whether distinct flags always lie on distinct maximal chains.
 
     Checked as discreteness of the meet of the single-colour-removed
@@ -384,79 +384,55 @@ def strong_flag_connectivity(p: InducedPoset) -> CheckResult:
     """Whether any two maximal chains are joined by single-face steps
     through chains containing their common faces.
 
-    For each subset of ranks, chains are grouped by their projection to
-    those ranks and the groups' one-face-step components are computed once;
-    a pair of chains is then judged in the group of the ranks where they
-    agree.  The witness is the first failing chain pair in lex order.
+    Between two faces a chain may vary freely, so the chains through a set
+    of faces form the product of the segment graphs between consecutive
+    shared ranks, and the condition holds exactly when every segment graph
+    is connected.  For each span ``lo < hi`` of positions in the chains
+    with their improper ends (gaps below three are always connected),
+    chains whose ``lo..hi`` segments differ in at most one face are joined,
+    and each group of chains through one face at ``lo`` and one at ``hi``
+    must be a single component.  The witness is the first failing chain
+    pair in lex order: the first chain heading a split group, and the first
+    chain outside its component among the groups it heads.
     """
-    chains = p._chain_tuples()
-    c = len(chains)
     n = p.n
-    if c <= 1 or n <= 0:
+    chains = [(0,) + ch + (0,) for ch in p._chain_tuples()]
+    pairs: list[tuple[int, int]] = []
+    for lo in range(n + 2):
+        for hi in range(lo + 3, n + 2):
+            parent = list(range(len(chains)))
+
+            def find(x: int) -> int:
+                while parent[x] != x:
+                    parent[x] = parent[parent[x]]
+                    x = parent[x]
+                return x
+
+            for i in range(lo + 1, hi):
+                first: dict[tuple[int, ...], int] = {}
+                for t, ch in enumerate(chains):
+                    key = ch[lo:i] + ch[i + 1 : hi + 1]
+                    parent[find(t)] = find(first.setdefault(key, t))
+            groups: dict[tuple[int, int], list[int]] = {}
+            for t, ch in enumerate(chains):
+                groups.setdefault((ch[lo], ch[hi]), []).append(t)
+            for head, *rest in groups.values():
+                root = find(head)
+                other = next((t for t in rest if find(t) != root), None)
+                if other is not None:
+                    pairs.append((head, other))
+    if not pairs:
         return CheckResult(True)
-
-    # roots[mask][t]: component label of chain t among the chains that share
-    # its projection to the ranks in `mask`, under moves changing one face.
-    roots: list[dict[int, int]] = []
-    any_split = False
-    for mask in range(1 << n):
-        shared = [r for r in range(n) if mask >> r & 1]
-        free = [r for r in range(n) if not mask >> r & 1]
-        parent = list(range(c))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for t, ch in enumerate(chains):
-            groups.setdefault(tuple(ch[r] for r in shared), []).append(t)
-        for members in groups.values():
-            for r in free:
-                buckets: dict[tuple[int, ...], int] = {}
-                for t in members:
-                    ch = chains[t]
-                    key = ch[:r] + ch[r + 1 :]
-                    first = buckets.setdefault(key, t)
-                    if first != t:
-                        ra, rb = find(first), find(t)
-                        if ra != rb:
-                            parent[rb] = ra
-        root_of = {t: find(t) for t in range(c)}
-        for members in groups.values():
-            if len({root_of[t] for t in members}) > 1:
-                any_split = True
-        roots.append(root_of)
-
-    if not any_split:
-        return CheckResult(True)
-
-    for t1 in range(c):
-        ch1 = chains[t1]
-        for t2 in range(t1 + 1, c):
-            ch2 = chains[t2]
-            mask = 0
-            for r in range(n):
-                if ch1[r] == ch2[r]:
-                    mask |= 1 << r
-            root_of = roots[mask]
-            if root_of[t1] != root_of[t2]:
-                wrap = lambda ct: MaximalChain(
-                    ((-1, 0),)
-                    + tuple((r, k) for r, k in enumerate(ct))
-                    + ((n, 0),)
-                )
-                return CheckResult(False, (wrap(ch1), wrap(ch2)))
-    return CheckResult(True)
+    t1, t2 = min(pairs)
+    chain_list = p.maximal_chains()
+    return CheckResult(False, (chain_list[t1], chain_list[t2]))
 
 
 def _build_report(p: InducedPoset) -> PosetReport:
     uniform = uniform_chain_length(p)
     dia = diamond(p)
     sfc = strong_flag_connectivity(p)
-    faithful = is_faithful(p.source, p) if p.source is not None else None
+    faithful = is_faithful(p.source) if p.source is not None else None
     return PosetReport(
         is_ranked_bounded=True,
         uniform_chain_length=uniform,

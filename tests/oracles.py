@@ -7,6 +7,9 @@ oracles for the intersection property and faithfulness.  ``leq``,
 paper defines it, rank plus nonempty flag-set intersection, and the two
 checks as plain loops over that relation, with the library's scan order
 and witnesses; they are slow and only meant for comparison.
+``strong_flag_connectivity`` is the definition's own scan: one union-find
+per subset of ranks, then every chain pair judged in the group of the ranks
+where the two agree.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from maniplexes import (
     CheckResult,
     InducedPoset,
     Maniplex,
+    MaximalChain,
     all_chains,
     chain_intersection,
     induced_poset,
@@ -114,4 +118,79 @@ def diamond(p: InducedPoset) -> CheckResult:
                 )
                 if count != 2:
                     return CheckResult(False, (e, f, count))
+    return CheckResult(True)
+
+
+# -- strong flag connectivity by rank masks and chain pairs ---------------------
+
+
+def strong_flag_connectivity(p: InducedPoset) -> CheckResult:
+    """Whether any two maximal chains are joined by single-face steps
+    through chains containing their common faces.
+
+    For each subset of ranks, chains are grouped by their projection to
+    those ranks and the groups' one-face-step components are computed once;
+    a pair of chains is then judged in the group of the ranks where they
+    agree.  The witness is the first failing chain pair in lex order.
+    """
+    chains = p._chain_tuples()
+    c = len(chains)
+    n = p.n
+    if c <= 1 or n <= 0:
+        return CheckResult(True)
+
+    # roots[mask][t]: component label of chain t among the chains that share
+    # its projection to the ranks in `mask`, under moves changing one face.
+    roots: list[dict[int, int]] = []
+    any_split = False
+    for mask in range(1 << n):
+        shared = [r for r in range(n) if mask >> r & 1]
+        free = [r for r in range(n) if not mask >> r & 1]
+        parent = list(range(c))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for t, ch in enumerate(chains):
+            groups.setdefault(tuple(ch[r] for r in shared), []).append(t)
+        for members in groups.values():
+            for r in free:
+                buckets: dict[tuple[int, ...], int] = {}
+                for t in members:
+                    ch = chains[t]
+                    key = ch[:r] + ch[r + 1 :]
+                    first = buckets.setdefault(key, t)
+                    if first != t:
+                        ra, rb = find(first), find(t)
+                        if ra != rb:
+                            parent[rb] = ra
+        root_of = {t: find(t) for t in range(c)}
+        for members in groups.values():
+            if len({root_of[t] for t in members}) > 1:
+                any_split = True
+        roots.append(root_of)
+
+    if not any_split:
+        return CheckResult(True)
+
+    for t1 in range(c):
+        ch1 = chains[t1]
+        for t2 in range(t1 + 1, c):
+            ch2 = chains[t2]
+            mask = 0
+            for r in range(n):
+                if ch1[r] == ch2[r]:
+                    mask |= 1 << r
+            root_of = roots[mask]
+            if root_of[t1] != root_of[t2]:
+                wrap = lambda ct: MaximalChain(
+                    ((-1, 0),)
+                    + tuple((r, k) for r, k in enumerate(ct))
+                    + ((n, 0),)
+                )
+                return CheckResult(False, (wrap(ch1), wrap(ch2)))
     return CheckResult(True)

@@ -15,9 +15,9 @@ GOLDEN = Path(__file__).parent / "golden"
 T11 = FIXTURES / "torus44_1_1.mpx"
 
 
-def run(*args, **kw):
+def run(*args, flags=(), **kw):
     return subprocess.run(
-        [sys.executable, "-m", "maniplexes", *map(str, args)],
+        [sys.executable, *flags, "-m", "maniplexes", *map(str, args)],
         capture_output=True,
         text=True,
         **kw,
@@ -64,8 +64,10 @@ def test_check_parse_error_exits_two(tmp_path):
     assert r.returncode == 2
 
 
-def test_check_json_matches_golden():
-    r = run("check", "--json", T11)
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimised"])
+def test_check_json_matches_golden(flags):
+    # the report must not depend on assert statements, which -O strips
+    r = run("check", "--json", T11, flags=flags)
     assert r.returncode == 1
     assert r.stdout == (GOLDEN / "torus44_1_1.json").read_text()
     assert json.loads(r.stdout)["polytopal"] is False

@@ -6,6 +6,7 @@ import pytest
 
 from maniplexes import (
     Maniplex,
+    Partition,
     are_isomorphic,
     beta,
     build_graph,
@@ -23,7 +24,8 @@ from maniplexes import (
     rectified_cubic_3torus,
     torus_44,
 )
-from maniplexes.errors import NotAPolytope, RankTooLargeForExhaustive
+from maniplexes.errors import InconsistentVerdicts, NotAPolytope
+from maniplexes.polytopality import _split_pair
 from conftest import ALT_3TORUS_BASIS, POLYTOPAL_NAMES
 from oracles import check_cip_via_chains
 
@@ -164,14 +166,18 @@ def test_spip_cube_holds():
 
 def test_spip_rank_cap():
     # rank-7 maniplex: colour c flips bit c (flag graph of a 7-fold digonal
-    # pile); exhaustive mode must refuse, delegation must still decide.
+    # pile); above rank 6 the verdict is delegated to the interval property.
     size = 1 << 7
     rows = [[v ^ (1 << c) for v in range(size)] for c in range(7)]
     m = Maniplex(build_graph(7, rows))
-    with pytest.raises(RankTooLargeForExhaustive):
-        check_spip(m, exhaustive=True)
     assert check_spip(m)
     assert check_wpip(m).holds
+
+
+def test_split_pair_of_equal_partitions_raises_a_typed_error():
+    part = Partition([0, 0, 1, 1])
+    with pytest.raises(InconsistentVerdicts):
+        _split_pair(part, Partition([0, 0, 1, 1]))
 
 
 def test_spip_delegation_translates_wpip_witness():
