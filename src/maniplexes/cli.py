@@ -14,7 +14,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .errors import ManiplexError
+from .errors import ManiplexError, ParseError
 from .generators import (
     DEFAULT_3TORUS_BASIS,
     hypercube,
@@ -51,8 +51,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load(path: str) -> Maniplex:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise ParseError(line, f"byte 0x{data[err.start]:02x} is not UTF-8") from None
     return Maniplex(read_mpx(text))
 
 
@@ -128,14 +133,17 @@ def _cmd_gen(args) -> int:
     elif args.family == "klein44":
         m = klein_44()
     elif args.family == "rect3torus":
-        basis = tuple(
-            tuple(int(x) for x in vec.split(","))
-            for vec in (args.v1, args.v2, args.v3)
-        )
-        if any(len(v) != 3 for v in basis):
+        try:
+            basis = tuple(
+                tuple(int(x) for x in vec.split(","))
+                for vec in (args.v1, args.v2, args.v3)
+            )
+            if any(len(v) != 3 for v in basis):
+                raise ValueError
+        except ValueError:
             raise ManiplexError(
                 "each basis vector needs three comma-separated integers"
-            )
+            ) from None
         m = rectified_cubic_3torus(basis)
     else:
         m = random_maniplex(args.rank, args.seed, args.budget)

@@ -3,8 +3,9 @@
 A maniplex is polytopal when its induced poset is a polytope (ranked with
 uniform chain length, diamond condition, strong flag connectivity) and the
 maniplex is then isomorphic to the flag graph of that poset.  This is
-equivalent to three partition-intersection properties, checked here
-independently and cross-compared:
+equivalent to three partition-intersection properties, each the identity
+``<A> ^ <B> = <A & B>`` on component partitions over its own family of
+colour-set pairs ``(A, B)``, and cross-compared:
 
 * the full property over every nonempty colour subset (``check_cip``),
 * the window property over colour intervals (``check_wpip``),
@@ -22,7 +23,6 @@ from .graphs import (
     Partition,
     are_isomorphic,
     build_graph,
-    meet_all,
     partition_meet,
 )
 from .maniplex import Maniplex
@@ -104,6 +104,29 @@ def _split_pair(coarse: Partition, fine: Partition) -> tuple[int, int]:
     raise InconsistentVerdicts("partitions compared unequal but nothing splits")
 
 
+def _colours(mask: int) -> tuple[int, ...]:
+    return tuple(c for c in range(mask.bit_length()) if mask >> c & 1)
+
+
+def _split(m: Maniplex, a: int, b: int) -> Optional[tuple[int, int]]:
+    """``None`` when the components over colour masks ``a`` and ``b`` meet in
+    those over ``a & b``, else the first flag pair the meet joins wrongly.
+    The latter refine both sides, so equal block counts mean equality."""
+    pa, pb = m.components_of(_colours(a)), m.components_of(_colours(b))
+    target = m.components_of(_colours(a & b))
+    if len(set(zip(pa.ids, pb.ids))) == target.block_count():
+        return None
+    return _split_pair(partition_meet(pa, pb), target)
+
+
+def _windows(n: int):
+    """``(low, high, above, below)`` for ``low < high``: the masks of the
+    colours above ``low`` and of those below ``high``."""
+    for low in range(n):
+        for high in range(low + 1, n):
+            yield low, high, (1 << n) - (2 << low), (1 << high) - 1
+
+
 def check_cip(m: Maniplex) -> CheckResult:
     """Intersection property over every nonempty colour subset.
 
@@ -111,17 +134,19 @@ def check_cip(m: Maniplex) -> CheckResult:
     the single-colour-removed partitions over ``S`` must equal the partition
     with all of ``S`` removed.  The witness is the first failing subset with
     the first flag pair its meet joins wrongly.
+
+    Singletons hold trivially.  Every smaller subset has held when ``S`` is
+    reached, so the meet over ``S`` is the partition with ``S`` minus its
+    last colour removed, met with the one with that colour removed.
     """
     n = m.rank
-    for size in range(1, n + 1):
+    full = (1 << n) - 1
+    for size in range(2, n + 1):
         for sub in combinations(range(n), size):
-            target = m.components_of(c for c in range(n) if c not in sub)
-            met = meet_all(
-                m.components_of(c for c in range(n) if c != i) for i in sub
-            )
-            if met != target:
-                a, b = _split_pair(met, target)
-                return CheckResult(False, CipWitness(sub, a, b))
+            rest = full - sum(1 << c for c in sub[:-1])
+            split = _split(m, rest, full - (1 << sub[-1]))
+            if split is not None:
+                return CheckResult(False, CipWitness(sub, *split))
     return CheckResult(True)
 
 
@@ -129,20 +154,14 @@ def check_wpip(m: Maniplex) -> WpipResult:
     """Interval property: for every ``low < high``, the meet of the
     components over colours above ``low`` and below ``high`` must equal the
     components strictly between.  Collects every failing pair."""
-    n = m.rank
     failures: list[tuple[int, int]] = []
     first: Optional[WindowWitness] = None
-    for low in range(n):
-        for high in range(low + 1, n):
-            above = m.components_of(range(low + 1, n))
-            below = m.components_of(range(high))
-            between = m.components_of(range(low + 1, high))
-            met = partition_meet(above, below)
-            if met != between:
-                a, b = _split_pair(met, between)
-                failures.append((low, high))
-                if first is None:
-                    first = WindowWitness(low, high, a, b)
+    for low, high, above, below in _windows(m.rank):
+        split = _split(m, above, below)
+        if split is not None:
+            failures.append((low, high))
+            if first is None:
+                first = WindowWitness(low, high, *split)
     return WpipResult(not failures, first, tuple(failures))
 
 
@@ -152,40 +171,19 @@ def check_spip(m: Maniplex) -> CheckResult:
 
     Exhaustive over all subset pairs for rank at most 6 (pairs where one
     subset contains the other hold trivially and are skipped; the empty
-    subset is included).  Above rank 6 the verdict is delegated to the
-    interval property, whose witnesses are valid subset pairs here.
+    subset is included).  Above rank 6 only the interval pairs are checked,
+    which decide the same verdict.
     """
     n = m.rank
     if n > 6:
-        w = check_wpip(m)
-        if w.holds:
-            return CheckResult(True)
-        ww = w.witness
-        return CheckResult(
-            False,
-            SpipWitness(
-                tuple(range(ww.low + 1, n)),
-                tuple(range(ww.high)),
-                ww.flag_a,
-                ww.flag_b,
-            ),
-        )
-
-    def bits(mask: int) -> tuple[int, ...]:
-        return tuple(c for c in range(n) if mask >> c & 1)
-
-    for am in range(1 << n):
-        for bm in range(am + 1, 1 << n):
-            inter = am & bm
-            if inter == am or inter == bm:
-                continue
-            met = partition_meet(
-                m.components_of(bits(am)), m.components_of(bits(bm))
-            )
-            target = m.components_of(bits(inter))
-            if met != target:
-                a, b = _split_pair(met, target)
-                return CheckResult(False, SpipWitness(bits(am), bits(bm), a, b))
+        pairs = [(a, b) for _, _, a, b in _windows(n)]
+    else:
+        masks = range(1 << n)
+        pairs = [(a, b) for a in masks for b in masks[a + 1 :] if a & b not in (a, b)]
+    for a, b in pairs:
+        split = _split(m, a, b)
+        if split is not None:
+            return CheckResult(False, SpipWitness(_colours(a), _colours(b), *split))
     return CheckResult(True)
 
 

@@ -9,22 +9,33 @@ checks as plain loops over that relation, with the library's scan order
 and witnesses; they are slow and only meant for comparison.
 ``strong_flag_connectivity`` is the definition's own scan: one union-find
 per subset of ranks, then every chain pair judged in the group of the ranks
-where the two agree.
+where the two agree.  ``check_cip``, ``check_wpip`` and ``check_spip`` are
+the three partition criteria as separate meet-and-compare loops: CIP meets
+all ``|S|`` single-colour-removed partitions of each subset, and SPIP above
+rank 6 translates the interval witness.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Optional
 
 from maniplexes import (
     CheckResult,
+    CipWitness,
     InducedPoset,
     Maniplex,
     MaximalChain,
+    SpipWitness,
+    WindowWitness,
+    WpipResult,
     all_chains,
     chain_intersection,
     induced_poset,
+    meet_all,
+    partition_meet,
 )
+from maniplexes.polytopality import _split_pair
 
 
 def check_cip_via_chains(
@@ -193,4 +204,89 @@ def strong_flag_connectivity(p: InducedPoset) -> CheckResult:
                     + ((n, 0),)
                 )
                 return CheckResult(False, (wrap(ch1), wrap(ch2)))
+    return CheckResult(True)
+
+
+def check_cip(m: Maniplex) -> CheckResult:
+    """Intersection property over every nonempty colour subset.
+
+    For each subset ``S`` (ascending size, then lexicographic), the meet of
+    the single-colour-removed partitions over ``S`` must equal the partition
+    with all of ``S`` removed.  The witness is the first failing subset with
+    the first flag pair its meet joins wrongly.
+    """
+    n = m.rank
+    for size in range(1, n + 1):
+        for sub in combinations(range(n), size):
+            target = m.components_of(c for c in range(n) if c not in sub)
+            met = meet_all(
+                m.components_of(c for c in range(n) if c != i) for i in sub
+            )
+            if met != target:
+                a, b = _split_pair(met, target)
+                return CheckResult(False, CipWitness(sub, a, b))
+    return CheckResult(True)
+
+
+def check_wpip(m: Maniplex) -> WpipResult:
+    """Interval property: for every ``low < high``, the meet of the
+    components over colours above ``low`` and below ``high`` must equal the
+    components strictly between.  Collects every failing pair."""
+    n = m.rank
+    failures: list[tuple[int, int]] = []
+    first: Optional[WindowWitness] = None
+    for low in range(n):
+        for high in range(low + 1, n):
+            above = m.components_of(range(low + 1, n))
+            below = m.components_of(range(high))
+            between = m.components_of(range(low + 1, high))
+            met = partition_meet(above, below)
+            if met != between:
+                a, b = _split_pair(met, between)
+                failures.append((low, high))
+                if first is None:
+                    first = WindowWitness(low, high, a, b)
+    return WpipResult(not failures, first, tuple(failures))
+
+
+def check_spip(m: Maniplex) -> CheckResult:
+    """Symmetric property: for any colour subsets ``A, B``, the meet of
+    their component partitions must equal the components of ``A & B``.
+
+    Exhaustive over all subset pairs for rank at most 6 (pairs where one
+    subset contains the other hold trivially and are skipped; the empty
+    subset is included).  Above rank 6 the verdict is delegated to the
+    interval property, whose witnesses are valid subset pairs here.
+    """
+    n = m.rank
+    if n > 6:
+        w = check_wpip(m)
+        if w.holds:
+            return CheckResult(True)
+        ww = w.witness
+        return CheckResult(
+            False,
+            SpipWitness(
+                tuple(range(ww.low + 1, n)),
+                tuple(range(ww.high)),
+                ww.flag_a,
+                ww.flag_b,
+            ),
+        )
+
+    def bits(mask: int) -> tuple[int, ...]:
+        return tuple(c for c in range(n) if mask >> c & 1)
+
+    for am in range(1 << n):
+        for bm in range(am + 1, 1 << n):
+            inter = am & bm
+            if inter == am or inter == bm:
+                continue
+            met = partition_meet(
+                m.components_of(bits(am)), m.components_of(bits(bm))
+            )
+            target = m.components_of(bits(inter))
+            if met != target:
+                a, b = _split_pair(met, target)
+                return CheckResult(False, SpipWitness(bits(am), bits(bm), a, b))
     return CheckResult(True)

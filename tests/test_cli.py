@@ -64,6 +64,14 @@ def test_check_parse_error_exits_two(tmp_path):
     assert r.returncode == 2
 
 
+def test_check_non_utf8_file_exits_two_naming_the_line(tmp_path):
+    bad = tmp_path / "bom16.mpx"
+    bad.write_bytes(b"mpx 1 2\n\xff\xfe1 0\n")
+    r = run("check", bad)
+    assert r.returncode == 2
+    assert r.stderr == "error: line 2: byte 0xff is not UTF-8\n"
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimised"])
 def test_check_json_matches_golden(flags):
     # the report must not depend on assert statements, which -O strips
@@ -111,6 +119,15 @@ def test_gen_rect3torus_with_basis():
     )
     assert r.returncode == 0
     assert r.stdout.splitlines()[0] == "mpx 4 576"
+
+
+def test_gen_rect3torus_non_integer_basis_exits_two():
+    r = run("gen", "rect3torus", "--v1", "a,b,c", "-o", "-")
+    assert r.returncode == 2
+    assert r.stderr == (
+        "error: each basis vector needs three comma-separated integers\n"
+    )
+    assert r.stdout == ""
 
 
 def test_gen_bad_parameter_exits_two():

@@ -7,6 +7,7 @@ import pytest
 from maniplexes import (
     Maniplex,
     Partition,
+    SpipWitness,
     are_isomorphic,
     beta,
     build_graph,
@@ -27,6 +28,7 @@ from maniplexes import (
 from maniplexes.errors import InconsistentVerdicts, NotAPolytope
 from maniplexes.polytopality import _split_pair
 from conftest import ALT_3TORUS_BASIS, POLYTOPAL_NAMES
+import oracles
 from oracles import check_cip_via_chains
 
 
@@ -166,7 +168,7 @@ def test_spip_cube_holds():
 
 def test_spip_rank_cap():
     # rank-7 maniplex: colour c flips bit c (flag graph of a 7-fold digonal
-    # pile); above rank 6 the verdict is delegated to the interval property.
+    # pile); above rank 6 SPIP checks only the interval property's pairs.
     size = 1 << 7
     rows = [[v ^ (1 << c) for v in range(size)] for c in range(7)]
     m = Maniplex(build_graph(7, rows))
@@ -180,41 +182,37 @@ def test_split_pair_of_equal_partitions_raises_a_typed_error():
         _split_pair(part, Partition([0, 0, 1, 1]))
 
 
-def test_spip_delegation_translates_wpip_witness():
-    size = 1 << 7
-    rows = [[v ^ (1 << c) for v in range(size)] for c in range(7)]
-    # break commutation-free polytopality by gluing a twisted colour-6:
-    # swap within 4-cycles of colours {0,6}?  Simpler: delegation on a
-    # failing rank-7 maniplex is exercised via a product with torus44(1,1).
+def torus11_times_4bit() -> Maniplex:
+    """Rank 7: colours 0..2 act on torus44(1,1), colours 3..6 each flip one
+    bit of a 4-bit cube factor, so the torus defect breaks the interval
+    property at the window (0, 2)."""
     t = torus_44(1, 1)
-    base = Maniplex(build_graph(7, rows))
-    # pair construction: colours 0..2 act on the torus factor, 4..6 on a
-    # 3-bit cube factor, colour 3 flips an extra bit; torus colours keep
-    # their defect so WPIP fails below rank 3.
-    tsize = t.size
-    csize = 1 << 4
-    n = 7
-    size2 = tsize * csize
+    flags = range(t.size * 16)  # flag 16 * a + b: torus flag a, cube flag b
+    rows = [[t.neighbour(c, v // 16) * 16 + v % 16 for v in flags] for c in range(3)]
+    rows += [[v ^ (1 << bit) for v in flags] for bit in range(4)]
+    return Maniplex(build_graph(7, rows))
 
-    def enc(a, b):
-        return a * csize + b
 
-    rows2 = []
-    for c in range(n):
-        row = [0] * size2
-        for a in range(tsize):
-            for b in range(csize):
-                if c < 3:
-                    row[enc(a, b)] = enc(t.neighbour(c, a), b)
-                else:
-                    row[enc(a, b)] = enc(a, b ^ (1 << (c - 3)))
-        rows2.append(row)
-    m2 = Maniplex(build_graph(7, rows2))
-    res = check_spip(m2)
+def test_spip_delegation_translates_wpip_witness():
+    m = torus11_times_4bit()
+    w = check_wpip(m).witness
+    assert (w.low, w.high, w.flag_a, w.flag_b) == (0, 2, 0, 64)
+    res = check_spip(m)
     assert not res
-    w = res.witness
-    assert w.colours_a == tuple(range(w.colours_a[0], 7))
-    assert w.colours_b == tuple(range(len(w.colours_b)))
+    assert res.witness == SpipWitness(
+        tuple(range(w.low + 1, 7)), tuple(range(w.high)), w.flag_a, w.flag_b
+    )
+    assert res.witness == SpipWitness((1, 2, 3, 4, 5, 6), (0, 1), 0, 64)
+
+
+def test_criteria_match_the_separate_loop_oracles(all_fixtures, corpus):
+    samples = list(all_fixtures.items())
+    samples += [(s.seed, s.maniplex) for s in corpus]
+    samples.append(("torus11_times_4bit", torus11_times_4bit()))
+    for label, m in samples:
+        assert check_cip(m) == oracles.check_cip(m), label
+        assert check_wpip(m) == oracles.check_wpip(m), label
+        assert check_spip(m) == oracles.check_spip(m), label
 
 
 # -- equivalences -------------------------------------------------------------------
