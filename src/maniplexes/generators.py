@@ -8,6 +8,7 @@ order, and the random family is driven entirely by its seed.
 
 from __future__ import annotations
 
+import operator
 import random
 from itertools import permutations
 from typing import Optional, Sequence
@@ -29,8 +30,17 @@ DEFAULT_3TORUS_BASIS = ((0, 2, 0), (1, 0, 0), (1, 0, 2))
 _DIRS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
+def _integer(name: str, value: object) -> int:
+    """``value`` as an ``int``; :class:`BadParam` unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise BadParam(f"{name} must be an integer, got {value!r}") from None
+
+
 def polygon(p: int) -> Maniplex:
     """The rank-2 maniplex of a ``p``-gon (``p >= 2``), with ``2p`` flags."""
+    p = _integer("polygon size", p)
     if p < 2:
         raise BadParam(f"a polygon needs at least 2 sides, got {p}")
     f = 2 * p
@@ -45,6 +55,7 @@ def hypercube(d: int) -> Maniplex:
     A flag is a vertex (bit vector) plus an ordering of the axes; colour 0
     flips the first axis bit, colour ``c`` swaps axes ``c - 1`` and ``c``.
     """
+    d = _integer("dimension", d)
     if not 1 <= d <= 5:
         raise BadParam(f"dimension must be between 1 and 5, got {d}")
     perms = sorted(permutations(range(d)))
@@ -68,6 +79,7 @@ def torus_44(b: int, c: int) -> Maniplex:
     the side a quarter turn of the direction; colour 0 crosses the edge,
     colour 1 pivots at the vertex, colour 2 reflects in the edge.
     """
+    b, c = _integer("b", b), _integer("c", c)
     if (b, c) == (0, 0):
         raise BadParam("the quotient translation must be nonzero")
     n = b * b + c * c
@@ -207,7 +219,7 @@ def rectified_cubic_3torus(
     """
     if basis is None:
         basis = DEFAULT_3TORUS_BASIS
-    rows_in = [list(map(int, row)) for row in basis]
+    rows_in = [[_integer("a basis entry", x) for x in row] for row in basis]
     if len(rows_in) != 3 or any(len(r) != 3 for r in rows_in):
         raise BadParam("the basis must be three integer 3-vectors")
     h = _hnf_lower([[2 * x for x in row] for row in rows_in])
@@ -430,6 +442,8 @@ def random_maniplex(rank: int, seed: int, budget: int = 64) -> Maniplex:
     when no sample validates within the retry allowance, and
     :class:`BadParam` for an unsupported rank or an out-of-range budget.
     """
+    rank, seed = _integer("rank", rank), _integer("seed", seed)
+    budget = _integer("budget", budget)
     if not 1 <= rank <= 4:
         raise BadParam(f"random generation supports ranks 1..4, got {rank}")
     if budget > 512:

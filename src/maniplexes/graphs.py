@@ -43,7 +43,13 @@ class ColouredGraph:
         """The flag reached from ``flag`` along the ``colour`` edge."""
         if not 0 <= colour < self.rank:
             raise OutOfRange(f"colour {colour} not in range 0..{self.rank - 1}")
+        self.check_flag(flag)
         return self.matchings[colour][flag]
+
+    def check_flag(self, flag: int) -> None:
+        """Raise :class:`OutOfRange` unless ``flag`` is in ``0..size-1``."""
+        if not 0 <= flag < self.size:
+            raise OutOfRange(f"flag {flag} not in range 0..{self.size - 1}")
 
     def flags(self) -> range:
         return range(self.size)

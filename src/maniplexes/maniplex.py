@@ -116,26 +116,30 @@ class Maniplex:
             self._parts[mask] = part
         return part
 
-    def faces(self, i: int) -> tuple[Face, ...]:
-        """All rank-``i`` faces in canonical order (by smallest flag)."""
+    def face_partition(self, i: int) -> Partition:
+        """The rank-``i`` faces as the components over every colour but
+        ``i``: ``ids[v]`` is the index of the face through flag ``v``."""
         if not 0 <= i < self.rank:
             raise RankOutOfRange(
                 f"face rank {i} not in range 0..{self.rank - 1}"
             )
+        return self.components_of(c for c in range(self.rank) if c != i)
+
+    def faces(self, i: int) -> tuple[Face, ...]:
+        """All rank-``i`` faces in canonical order (by smallest flag)."""
         cached = self._faces.get(i)
         if cached is None:
-            part = self.components_of(c for c in range(self.rank) if c != i)
             cached = tuple(
                 Face(rank=i, index=k, rep=block[0], flags=frozenset(block))
-                for k, block in enumerate(part.blocks())
+                for k, block in enumerate(self.face_partition(i).blocks())
             )
             self._faces[i] = cached
         return cached
 
     def face_of(self, i: int, flag: int) -> Face:
         """The rank-``i`` face containing ``flag``."""
-        part = self.components_of(c for c in range(self.rank) if c != i)
-        return self.faces(i)[part.ids[flag]]
+        self.graph.check_flag(flag)
+        return self.faces(i)[self.face_partition(i).ids[flag]]
 
     def neighbour(self, colour: int, flag: int) -> int:
         return self.graph.neighbour(colour, flag)
@@ -216,6 +220,7 @@ def validate(graph: ColouredGraph) -> Maniplex:
 
 def walk(m: Maniplex, start: int, colours: Iterable[int]) -> int:
     """The flag reached from ``start`` applying matchings in order."""
+    m.graph.check_flag(start)
     v = start
     for c in colours:
         v = m.graph.neighbour(c, v)

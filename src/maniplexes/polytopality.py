@@ -19,12 +19,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import InconsistentVerdicts, ManiplexError, NotAPolytope
-from .graphs import (
-    Partition,
-    are_isomorphic,
-    build_graph,
-    partition_meet,
-)
+from .graphs import Partition, build_graph, partition_meet
 from .maniplex import Maniplex
 from .posets import (
     CheckResult,
@@ -232,14 +227,31 @@ def flag_graph(p: InducedPoset) -> Maniplex:
         raise NotAPolytope(f"the chain graph is not a maniplex: {err}") from err
 
 
+def _certify_beta(m: Maniplex, rep: PosetReport) -> tuple[int, ...]:
+    """``beta`` as a flag map onto ``flag_graph`` of the induced poset: flag
+    ``v`` goes to the lex rank of its face-id tuple, its chain's index there.
+
+    Faithfulness makes ``beta`` one-to-one and as many chains as flags make
+    it onto.  An ``r``-edge stays inside every face of rank other than
+    ``r``, so its flags go to chains differing only at rank ``r``: a
+    bijective ``beta`` preserves colours.  Flag 0 lies in face 0 at every
+    rank, so it goes to chain 0, the image ``are_isomorphic`` tries first.
+    """
+    if not (rep.faithful and rep.chain_count == m.size):
+        raise InconsistentVerdicts("a polytopal maniplex must match its flag graph")
+    tuples = list(zip(*(m.face_partition(i).ids for i in range(m.rank))))
+    index = {t: k for k, t in enumerate(sorted(tuples))}
+    return tuple(index[t] for t in tuples)
+
+
 def is_polytopal(m: Maniplex) -> PolytopalityReport:
     """Run all criteria, insist they agree, and certify the positive case.
 
     A disagreement between the subset, interval, symmetric, and poset
     criteria raises :class:`InconsistentVerdicts` (they are equivalent, so
-    this signals an implementation bug).  When polytopal, the maniplex is
-    matched against the flag graph of its own poset and the isomorphism is
-    included in the report.
+    this signals an implementation bug).  When polytopal, the report
+    includes the certified isomorphism ``beta`` onto the flag graph of the
+    maniplex's own poset.
     """
     cip = check_cip(m)
     wpip = check_wpip(m)
@@ -254,13 +266,6 @@ def is_polytopal(m: Maniplex) -> PolytopalityReport:
     }
     if len(set(verdicts.values())) != 1:
         raise InconsistentVerdicts(f"criteria disagree: {verdicts}")
-    iso: Optional[tuple[int, ...]] = None
-    if cip.holds:
-        iso = are_isomorphic(m.graph, flag_graph(p).graph)
-        if iso is None:
-            raise InconsistentVerdicts(
-                "a polytopal maniplex must match its poset's flag graph"
-            )
     return PolytopalityReport(
         cip=cip,
         wpip=wpip,
@@ -268,5 +273,5 @@ def is_polytopal(m: Maniplex) -> PolytopalityReport:
         poset=rep,
         verdicts_consistent=True,
         polytopal=cip.holds,
-        flag_graph_isomorphism=iso,
+        flag_graph_isomorphism=_certify_beta(m, rep) if cip.holds else None,
     )

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InconsistentVerdicts, NotAChain, NotComparable, OutOfRange
-from .graphs import meet_all
 from .maniplex import Maniplex
 
 Ref = tuple[int, int]
@@ -199,7 +198,7 @@ def induced_poset(m: Maniplex) -> InducedPoset:
     yields the incidence table.
     """
     n = m.rank
-    ids = [m.components_of(c for c in range(n) if c != i).ids for i in range(n)]
+    ids = [m.face_partition(i).ids for i in range(n)]
     level_flags = tuple(tuple(f.flags for f in m.faces(i)) for i in range(n))
     up = []
     for r in range(n):
@@ -307,16 +306,12 @@ def section(p: InducedPoset, a: Ref, b: Ref) -> InducedPoset:
 # -- faithfulness -------------------------------------------------------------
 
 
-def _face_index(m: Maniplex, i: int, flag: int) -> int:
-    part = m.components_of(c for c in range(m.rank) if c != i)
-    return part.ids[flag]
-
-
 def chain_of_flag(m: Maniplex, flag: int) -> MaximalChain:
     """The faces through one flag, one per rank, with the improper ends."""
+    m.graph.check_flag(flag)
     return MaximalChain(
         ((-1, 0),)
-        + tuple((i, _face_index(m, i, flag)) for i in range(m.rank))
+        + tuple((i, m.face_partition(i).ids[flag]) for i in range(m.rank))
         + ((m.rank, 0),)
     )
 
@@ -324,19 +319,17 @@ def chain_of_flag(m: Maniplex, flag: int) -> MaximalChain:
 def is_faithful(m: Maniplex) -> CheckResult:
     """Whether distinct flags always lie on distinct maximal chains.
 
-    Checked as discreteness of the meet of the single-colour-removed
-    component partitions.  A failure witness is ``(chain, (flag_a, flag_b))``:
-    two flags sharing every face.
+    Checked by counting the distinct face-id tuples of the flags.  A failure
+    witness is ``(chain, (flag_a, flag_b))``: the smallest flag sharing every
+    face with a later flag, and the smallest such later flag.
     """
-    parts = [
-        m.components_of(c for c in range(m.rank) if c != i)
-        for i in range(m.rank)
-    ]
-    met = meet_all(parts)
-    if met.is_discrete():
+    tuples = list(zip(*(m.face_partition(i).ids for i in range(m.rank))))
+    count = Counter(tuples)
+    if len(count) == m.size:
         return CheckResult(True)
-    block = next(b for b in met.blocks() if len(b) > 1)
-    return CheckResult(False, (chain_of_flag(m, block[0]), (block[0], block[1])))
+    a = next(v for v, t in enumerate(tuples) if count[t] > 1)
+    b = tuples.index(tuples[a], a + 1)
+    return CheckResult(False, (chain_of_flag(m, a), (a, b)))
 
 
 # -- polytope conditions ------------------------------------------------------

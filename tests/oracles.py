@@ -2,7 +2,9 @@
 
 None of these is part of the package.  ``check_cip_via_chains``,
 ``faithful_by_chain_count`` and ``faithful_by_enumeration`` are independent
-oracles for the intersection property and faithfulness.  ``leq``,
+oracles for the intersection property and faithfulness, and ``is_faithful``
+is the meet-based faithfulness check the library used to run, kept to pin
+its verdict and witness.  ``leq``,
 ``diamond`` and ``uniform_chain_length`` restate the poset order as the
 paper defines it, rank plus nonempty flag-set intersection, and the two
 checks as plain loops over that relation, with the library's scan order
@@ -31,6 +33,7 @@ from maniplexes import (
     WpipResult,
     all_chains,
     chain_intersection,
+    chain_of_flag,
     induced_poset,
     meet_all,
     partition_meet,
@@ -80,6 +83,24 @@ def faithful_by_enumeration(m: Maniplex, p: InducedPoset) -> CheckResult:
             flags = sorted(inter)
             return CheckResult(False, (chain, (flags[0], flags[1])))
     return CheckResult(True)
+
+
+def is_faithful(m: Maniplex) -> CheckResult:
+    """Whether distinct flags always lie on distinct maximal chains.
+
+    Checked as discreteness of the meet of the single-colour-removed
+    component partitions.  A failure witness is ``(chain, (flag_a, flag_b))``:
+    two flags sharing every face.
+    """
+    parts = [
+        m.components_of(c for c in range(m.rank) if c != i)
+        for i in range(m.rank)
+    ]
+    met = meet_all(parts)
+    if met.is_discrete():
+        return CheckResult(True)
+    block = next(b for b in met.blocks() if len(b) > 1)
+    return CheckResult(False, (chain_of_flag(m, block[0]), (block[0], block[1])))
 
 
 # -- the order by flag-set intersection ----------------------------------------

@@ -52,6 +52,21 @@ def test_random_rejects_bad_rank_and_budget():
         random_maniplex(4, 1, budget=4)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: rectified_cubic_3torus(((0, 2.7, 0), (1, 0, 0), (1, 0, 2.9))),
+        lambda: torus_44(1.5, 0),
+        lambda: polygon(2.5),
+        lambda: hypercube(2.0),
+    ],
+    ids=["3torus_float_basis", "torus_float_b", "polygon_float", "hypercube_float"],
+)
+def test_generators_reject_non_integer_parameters(make):
+    with pytest.raises(BadParam):
+        make()
+
+
 def test_3torus_rejects_singular_basis():
     with pytest.raises(DegenerateBasis):
         rectified_cubic_3torus(((1, 0, 0), (0, 1, 0), (1, 1, 0)))

@@ -39,6 +39,13 @@ def test_build_graph_accepts_the_segment():
     assert g.neighbour(0, 0) == 1 and g.neighbour(0, 1) == 0
 
 
+def test_neighbour_rejects_flags_out_of_range():
+    g = build_graph(1, [[1, 0]])
+    for flag in (-1, g.size):
+        with pytest.raises(OutOfRange):
+            g.neighbour(0, flag)
+
+
 def test_build_graph_rejects_rank_zero():
     with pytest.raises(OutOfRange):
         build_graph(0, [])

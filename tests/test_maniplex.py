@@ -99,6 +99,26 @@ def test_faces_match_component_partition():
         assert tuple(tuple(sorted(f.flags)) for f in m.faces(i)) == part.blocks()
 
 
+def test_face_of_and_paths_reject_flags_out_of_range():
+    m = torus_44(2, 0)
+    for flag in (-1, m.size):
+        with pytest.raises(OutOfRange):
+            m.face_of(0, flag)
+        with pytest.raises(OutOfRange):
+            make_path(m, flag, [0, 1])
+        with pytest.raises(OutOfRange):
+            walk(m, flag, [])
+
+
+def test_face_partition_ids_index_the_faces():
+    m = torus_44(2, 1)
+    for i in range(m.rank):
+        ids = m.face_partition(i).ids
+        assert all(v in m.faces(i)[ids[v]].flags for v in range(m.size))
+    with pytest.raises(RankOutOfRange):
+        m.face_partition(m.rank)
+
+
 def test_face_of_rank_out_of_range():
     m = polygon(4)
     with pytest.raises(RankOutOfRange):

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from maniplexes import (
+    CheckResult,
     Maniplex,
     Partition,
     SpipWitness,
@@ -26,7 +30,7 @@ from maniplexes import (
     torus_44,
 )
 from maniplexes.errors import InconsistentVerdicts, NotAPolytope
-from maniplexes.polytopality import _split_pair
+from maniplexes.polytopality import _certify_beta, _split_pair
 from conftest import ALT_3TORUS_BASIS, POLYTOPAL_NAMES
 import oracles
 from oracles import check_cip_via_chains
@@ -375,3 +379,55 @@ def test_is_polytopal_torus20():
 def test_is_polytopal_matches_table(all_fixtures):
     for name, m in all_fixtures.items():
         assert is_polytopal(m).polytopal == (name in POLYTOPAL_NAMES), name
+
+
+# -- the certified isomorphism ----------------------------------------------------
+
+
+def _bitflip(n: int) -> Maniplex:
+    rows = [[v ^ (1 << c) for v in range(1 << n)] for c in range(n)]
+    return Maniplex(build_graph(n, rows))
+
+
+def _relabelled(m: Maniplex, seed: int) -> Maniplex:
+    """A copy under a seeded flag permutation that moves flag 0."""
+    rng = random.Random(seed)
+    perm = list(range(m.size))
+    while perm[0] == 0:
+        rng.shuffle(perm)
+    rows = [[0] * m.size for _ in range(m.rank)]
+    for row, out in zip(m.graph.matchings, rows):
+        for v, w in enumerate(row):
+            out[perm[v]] = perm[w]
+    return Maniplex(build_graph(m.rank, rows))
+
+
+def test_isomorphism_is_the_one_the_anchor_search_finds(all_fixtures, corpus):
+    """The certified ``beta`` equals ``are_isomorphic`` onto the rebuilt flag
+    graph on every polytopal input, relabelled copies included."""
+    polytopal = [(name, all_fixtures[name]) for name in sorted(POLYTOPAL_NAMES)]
+    polytopal += [(s.seed, s.maniplex) for s in corpus if s.cip]
+    polytopal += [(f"bitflip({n})", _bitflip(n)) for n in range(2, 9)]
+    moved = [
+        ((label, "relabelled"), _relabelled(m, seed))
+        for seed, (label, m) in enumerate(polytopal)
+    ]
+    for label, m in polytopal + moved:
+        rep = is_polytopal(m)
+        assert rep.polytopal, label
+        searched = are_isomorphic(m.graph, flag_graph(induced_poset(m)).graph)
+        assert rep.flag_graph_isomorphism == searched, label
+    assert len(polytopal) == 12 + 503 + 7
+
+
+def test_certificate_refuses_a_report_that_cannot_make_beta_bijective():
+    m = hypercube(3)
+    rep = induced_poset(m).report()
+    assert _certify_beta(m, rep) == is_polytopal(m).flag_graph_isomorphism
+    for bad in (
+        replace(rep, chain_count=rep.chain_count + 1),
+        replace(rep, faithful=CheckResult(False)),
+        replace(rep, faithful=None),
+    ):
+        with pytest.raises(InconsistentVerdicts):
+            _certify_beta(m, bad)

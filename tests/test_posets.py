@@ -27,7 +27,7 @@ from maniplexes import (
     torus_44,
     uniform_chain_length,
 )
-from maniplexes.errors import NotAChain, NotComparable
+from maniplexes.errors import NotAChain, NotComparable, OutOfRange
 from conftest import ALT_3TORUS_BASIS
 from oracles import faithful_by_chain_count, faithful_by_enumeration
 
@@ -328,6 +328,13 @@ def test_chain_of_flag_passes_through_the_flag():
         assert v in chain_intersection(p, ch.proper)
 
 
+def test_chain_of_flag_rejects_flags_out_of_range():
+    m = torus_44(2, 0)
+    for flag in (-1, m.size):
+        with pytest.raises(OutOfRange):
+            chain_of_flag(m, flag)
+
+
 # -- sections ---------------------------------------------------------------------
 
 
@@ -415,6 +422,18 @@ def test_torus10_unfaithful_with_witness():
     chain, (a, b) = res.witness
     assert chain == MaximalChain(((-1, 0), (0, 0), (1, 0), (2, 0), (3, 0)))
     assert (a, b) == (0, 1)
+
+
+def test_is_faithful_matches_the_meet_oracle(all_fixtures, corpus):
+    """Verdict and witness equal the meet-based check's: the smallest flag
+    sharing every face with a later one, and the smallest such later flag."""
+    inputs = [*all_fixtures.items(), *((s.seed, s.maniplex) for s in corpus)]
+    unfaithful = 0
+    for label, m in inputs:
+        res = is_faithful(m)
+        assert res == oracles.is_faithful(m), label
+        unfaithful += not res.holds
+    assert (len(inputs), unfaithful) == (1018, 501)
 
 
 def test_faithfulness_criteria_agree(all_fixtures, all_posets):
