@@ -1,6 +1,6 @@
-"""Generator families: polygons, hypercubes, the square tilings of the torus
-and the Klein bottle, a rectified cubic honeycomb on a 3-torus, and seeded
-random maniplexes.
+"""Generator families: polygons, hypercubes, the bit-flip maniplexes, the
+square tilings of the torus and the Klein bottle, a rectified cubic honeycomb
+on a 3-torus, and seeded random maniplexes.
 
 All generators are deterministic: flags are indexed in a fixed enumeration
 order, and the random family is driven entirely by its seed.
@@ -69,6 +69,16 @@ def hypercube(d: int) -> Maniplex:
             q[c - 1], q[c] = q[c], q[c - 1]
             rows[c][k] = idx[(x, tuple(q))]
     return Maniplex(build_graph(d, rows))
+
+
+def bitflip(n: int) -> Maniplex:
+    """The rank-``n`` {2,...,2} maniplex (``1 <= n <= 16``) on the ``2^n``
+    bit vectors: colour ``c`` flips bit ``c``."""
+    n = _integer("rank", n)
+    if not 1 <= n <= 16:
+        raise BadParam(f"bit-flip rank must be between 1 and 16, got {n}")
+    rows = [[v ^ (1 << c) for v in range(1 << n)] for c in range(n)]
+    return Maniplex(build_graph(n, rows))
 
 
 def torus_44(b: int, c: int) -> Maniplex:

@@ -11,12 +11,14 @@ component partitions, partition meets and colour-preserving isomorphism.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DisconnectedInput,
     FixedPoint,
+    ManiplexError,
     MultiEdge,
     NotInvolution,
     OutOfRange,
@@ -25,6 +27,19 @@ from .errors import (
 
 #: Hard ceiling on the number of colours; keeps colour masks in one machine word.
 MAX_RANK = 64
+
+
+def index_in_range(
+    value: object, stop: int, error: type[ManiplexError], what: str
+) -> int:
+    """``value`` as an ``int`` in ``0..stop-1``, else ``error`` naming ``what``."""
+    try:
+        i = operator.index(value)
+    except TypeError:
+        raise error(f"{what} {value!r} is not an integer") from None
+    if not 0 <= i < stop:
+        raise error(f"{what} {i} not in range 0..{stop - 1}")
+    return i
 
 
 @dataclass(frozen=True)
@@ -41,15 +56,13 @@ class ColouredGraph:
 
     def neighbour(self, colour: int, flag: int) -> int:
         """The flag reached from ``flag`` along the ``colour`` edge."""
-        if not 0 <= colour < self.rank:
-            raise OutOfRange(f"colour {colour} not in range 0..{self.rank - 1}")
-        self.check_flag(flag)
-        return self.matchings[colour][flag]
+        colour = index_in_range(colour, self.rank, OutOfRange, "colour")
+        return self.matchings[colour][self.check_flag(flag)]
 
-    def check_flag(self, flag: int) -> None:
-        """Raise :class:`OutOfRange` unless ``flag`` is in ``0..size-1``."""
-        if not 0 <= flag < self.size:
-            raise OutOfRange(f"flag {flag} not in range 0..{self.size - 1}")
+    def check_flag(self, flag: int) -> int:
+        """``flag`` as an ``int``; :class:`OutOfRange` unless it is an
+        integer in ``0..size-1``."""
+        return index_in_range(flag, self.size, OutOfRange, "flag")
 
     def flags(self) -> range:
         return range(self.size)
@@ -106,26 +119,28 @@ class Partition:
 
     Block ids are assigned by first appearance, so two partitions are equal
     iff their id arrays are equal; no normalisation pass is ever needed.
+    A builder whose ids are already canonical passes their block count as
+    ``_count`` and skips the relabelling.
     """
 
-    __slots__ = ("size", "ids", "_blocks")
+    __slots__ = ("size", "ids", "_count", "_blocks")
 
-    def __init__(self, ids: Sequence[int], *, _canonical: bool = False):
-        if _canonical:
-            self.ids = tuple(ids)
-        else:
+    def __init__(self, ids: Sequence[int], *, _count: Optional[int] = None):
+        if _count is None:
             relabel: dict[int, int] = {}
             out = []
             for x in ids:
                 if x not in relabel:
                     relabel[x] = len(relabel)
                 out.append(relabel[x])
-            self.ids = tuple(out)
+            ids, _count = out, len(relabel)
+        self.ids = tuple(ids)
         self.size = len(self.ids)
+        self._count = _count
         self._blocks: Optional[tuple[tuple[int, ...], ...]] = None
 
     def block_count(self) -> int:
-        return max(self.ids) + 1 if self.ids else 0
+        return self._count
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Blocks as ascending tuples, ordered by their smallest element."""
@@ -157,10 +172,9 @@ class Partition:
 
 def components(graph: ColouredGraph, colours: Iterable[int]) -> Partition:
     """Connected components of the subgraph using only ``colours`` edges."""
-    cols = sorted(set(colours))
-    for c in cols:
-        if not 0 <= c < graph.rank:
-            raise OutOfRange(f"colour {c} not in range 0..{graph.rank - 1}")
+    cols = sorted(
+        {index_in_range(c, graph.rank, OutOfRange, "colour") for c in colours}
+    )
     parent = list(range(graph.size))
 
     def find(x: int) -> int:
@@ -194,7 +208,7 @@ def partition_meet(p: Partition, q: Partition) -> Partition:
         if key not in seen:
             seen[key] = len(seen)
         ids.append(seen[key])
-    return Partition(ids, _canonical=True)
+    return Partition(ids, _count=len(seen))
 
 
 def meet_all(parts: Iterable[Partition]) -> Partition:

@@ -22,7 +22,13 @@ from .errors import (
     PathUsesPivotColour,
     RankOutOfRange,
 )
-from .graphs import ColouredGraph, Partition, build_graph, components
+from .graphs import (
+    ColouredGraph,
+    Partition,
+    build_graph,
+    components,
+    index_in_range,
+)
 
 
 @dataclass(frozen=True)
@@ -104,29 +110,73 @@ class Maniplex:
         """Cached component partition of the subgraph on ``colours``."""
         mask = 0
         for c in colours:
-            if not 0 <= c < self.rank:
-                raise OutOfRange(
-                    f"colour {c} not in range 0..{self.rank - 1}"
-                )
-            mask |= 1 << c
+            mask |= 1 << index_in_range(c, self.rank, OutOfRange, "colour")
+        return self._components(mask)
+
+    def _components(self, mask: int) -> Partition:
+        """Cached components over the colours in ``mask``.
+
+        They are built from the components over ``mask`` without its top
+        colour by one union pass over that colour's matching, on the block
+        ids of that finer partition.  Unions keep the smaller block id as
+        the root, and blocks are ordered by smallest flag, so numbering the
+        roots in block order keeps the ids canonical.
+        """
         part = self._parts.get(mask)
-        if part is None:
-            cols = [c for c in range(self.rank) if mask >> c & 1]
-            part = components(self.graph, cols)
-            self._parts[mask] = part
+        if part is not None:
+            return part
+        if not mask:
+            part = Partition(range(self.size), _count=self.size)
+        else:
+            top = mask.bit_length() - 1
+            prefix = self._components(mask ^ (1 << top))
+            sub = prefix.ids
+            parent = list(range(prefix.block_count()))
+            row = self.graph.matchings[top]
+            # Each edge shows up as (a, b) and as (b, a).
+            for a, b in set(zip(sub, map(sub.__getitem__, row))):
+                if a < b:
+                    while a != parent[a]:
+                        parent[a] = a = parent[parent[a]]
+                    while b != parent[b]:
+                        parent[b] = b = parent[parent[b]]
+                    if a < b:
+                        parent[b] = a
+                    elif b < a:
+                        parent[a] = b
+            new: list[int] = []
+            count = 0
+            for x, root in enumerate(parent):
+                while root != parent[root]:
+                    root = parent[root]
+                if root == x:
+                    new.append(count)
+                    count += 1
+                else:
+                    new.append(new[root])
+            if count == len(parent):  # the colour joins no two blocks
+                part = prefix
+            else:
+                part = Partition(tuple(map(new.__getitem__, sub)), _count=count)
+        self._parts[mask] = part
         return part
+
+    def _face_rank(self, i: int) -> int:
+        return index_in_range(i, self.rank, RankOutOfRange, "face rank")
 
     def face_partition(self, i: int) -> Partition:
         """The rank-``i`` faces as the components over every colour but
         ``i``: ``ids[v]`` is the index of the face through flag ``v``."""
-        if not 0 <= i < self.rank:
-            raise RankOutOfRange(
-                f"face rank {i} not in range 0..{self.rank - 1}"
-            )
-        return self.components_of(c for c in range(self.rank) if c != i)
+        i = self._face_rank(i)
+        return self._components((1 << self.rank) - 1 - (1 << i))
+
+    def flag_face_ids(self) -> list[tuple[int, ...]]:
+        """Per flag, the ids of its faces of ranks ``0..rank-1``."""
+        return list(zip(*(self.face_partition(i).ids for i in range(self.rank))))
 
     def faces(self, i: int) -> tuple[Face, ...]:
         """All rank-``i`` faces in canonical order (by smallest flag)."""
+        i = self._face_rank(i)
         cached = self._faces.get(i)
         if cached is None:
             cached = tuple(
@@ -138,7 +188,7 @@ class Maniplex:
 
     def face_of(self, i: int, flag: int) -> Face:
         """The rank-``i`` face containing ``flag``."""
-        self.graph.check_flag(flag)
+        i, flag = self._face_rank(i), self.graph.check_flag(flag)
         return self.faces(i)[self.face_partition(i).ids[flag]]
 
     def neighbour(self, colour: int, flag: int) -> int:
@@ -220,8 +270,7 @@ def validate(graph: ColouredGraph) -> Maniplex:
 
 def walk(m: Maniplex, start: int, colours: Iterable[int]) -> int:
     """The flag reached from ``start`` applying matchings in order."""
-    m.graph.check_flag(start)
-    v = start
+    v = m.graph.check_flag(start)
     for c in colours:
         v = m.graph.neighbour(c, v)
     return v

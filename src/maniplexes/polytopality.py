@@ -26,7 +26,6 @@ from .posets import (
     InducedPoset,
     MaximalChain,
     PosetReport,
-    chain_of_flag,
     induced_poset,
     is_polytope,
 )
@@ -107,8 +106,7 @@ def _split(m: Maniplex, a: int, b: int) -> Optional[tuple[int, int]]:
     """``None`` when the components over colour masks ``a`` and ``b`` meet in
     those over ``a & b``, else the first flag pair the meet joins wrongly.
     The latter refine both sides, so equal block counts mean equality."""
-    pa, pb = m.components_of(_colours(a)), m.components_of(_colours(b))
-    target = m.components_of(_colours(a & b))
+    pa, pb, target = m._components(a), m._components(b), m._components(a & b)
     if len(set(zip(pa.ids, pb.ids))) == target.block_count():
         return None
     return _split_pair(partition_meet(pa, pb), target)
@@ -183,8 +181,12 @@ def check_spip(m: Maniplex) -> CheckResult:
 
 
 def beta(m: Maniplex) -> tuple[MaximalChain, ...]:
-    """The flag-to-chain map: position ``v`` holds the chain through ``v``."""
-    return tuple(chain_of_flag(m, v) for v in range(m.size))
+    """The flag-to-chain map: position ``v`` holds the chain through ``v``,
+    read from one pass over the face ids of every rank."""
+    bottom, top = ((-1, 0),), ((m.rank, 0),)
+    return tuple(
+        MaximalChain(bottom + tuple(enumerate(t)) + top) for t in m.flag_face_ids()
+    )
 
 
 def flag_graph(p: InducedPoset) -> Maniplex:
@@ -239,7 +241,7 @@ def _certify_beta(m: Maniplex, rep: PosetReport) -> tuple[int, ...]:
     """
     if not (rep.faithful and rep.chain_count == m.size):
         raise InconsistentVerdicts("a polytopal maniplex must match its flag graph")
-    tuples = list(zip(*(m.face_partition(i).ids for i in range(m.rank))))
+    tuples = m.flag_face_ids()
     index = {t: k for k, t in enumerate(sorted(tuples))}
     return tuple(index[t] for t in tuples)
 

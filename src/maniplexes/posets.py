@@ -308,7 +308,7 @@ def section(p: InducedPoset, a: Ref, b: Ref) -> InducedPoset:
 
 def chain_of_flag(m: Maniplex, flag: int) -> MaximalChain:
     """The faces through one flag, one per rank, with the improper ends."""
-    m.graph.check_flag(flag)
+    flag = m.graph.check_flag(flag)
     return MaximalChain(
         ((-1, 0),)
         + tuple((i, m.face_partition(i).ids[flag]) for i in range(m.rank))
@@ -323,7 +323,7 @@ def is_faithful(m: Maniplex) -> CheckResult:
     witness is ``(chain, (flag_a, flag_b))``: the smallest flag sharing every
     face with a later flag, and the smallest such later flag.
     """
-    tuples = list(zip(*(m.face_partition(i).ids for i in range(m.rank))))
+    tuples = m.flag_face_ids()
     count = Counter(tuples)
     if len(count) == m.size:
         return CheckResult(True)

@@ -11,6 +11,7 @@ polytopality verdicts precomputed, shared by the equivalence suites.
 from __future__ import annotations
 
 import os
+import random
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,6 +55,19 @@ POLYTOPAL_NAMES = frozenset(
     + [f"hypercube({d})" for d in range(1, 5)]
     + ["torus44(2,0)", "torus44(2,1)", "torus44(2,2)"]
 )
+
+
+def relabelled(m: Maniplex, seed: int) -> Maniplex:
+    """A copy under a seeded flag permutation that moves flag 0."""
+    rng = random.Random(seed)
+    perm = list(range(m.size))
+    while perm[0] == 0:
+        rng.shuffle(perm)
+    rows = [[0] * m.size for _ in range(m.rank)]
+    for row, out in zip(m.graph.matchings, rows):
+        for v, w in enumerate(row):
+            out[perm[v]] = perm[w]
+    return Maniplex(build_graph(m.rank, rows))
 
 
 def oddball8() -> Maniplex:

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
 from maniplexes import (
     Maniplex,
     are_isomorphic,
+    bitflip,
     build_graph,
     hypercube,
     klein_44,
@@ -65,6 +69,12 @@ def test_random_rejects_bad_rank_and_budget():
 def test_generators_reject_non_integer_parameters(make):
     with pytest.raises(BadParam):
         make()
+
+
+@pytest.mark.parametrize("n", [0, 17, 2.0])
+def test_bitflip_rejects_a_bad_rank(n):
+    with pytest.raises(BadParam):
+        bitflip(n)
 
 
 def test_3torus_rejects_singular_basis():
@@ -140,6 +150,23 @@ def test_3torus_alt_basis_same_face_vector_more_chains():
     assert [len(alt.faces(i)) for i in range(4)] == [12, 48, 44, 8]
     assert induced_poset(alt).report().chain_count == 576
     assert are_isomorphic(alt.graph, rectified_cubic_3torus().graph) is None
+
+
+def _benchmark_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # Registered first: the module's dataclasses look themselves up there.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bitflip_rows_are_the_benchmark_rows():
+    workloads = _benchmark_workloads()
+    for n in range(1, 9):
+        rows = tuple(map(tuple, workloads.bitflip_rows(n)))
+        assert bitflip(n).graph.matchings == rows, n
 
 
 # -- random -----------------------------------------------------------------------

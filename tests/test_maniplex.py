@@ -8,7 +8,9 @@ import pytest
 
 from maniplexes import (
     Maniplex,
+    bitflip,
     build_graph,
+    components,
     hypercube,
     make_path,
     normalize_path,
@@ -24,7 +26,7 @@ from maniplexes.errors import (
     PathUsesPivotColour,
     RankOutOfRange,
 )
-from conftest import ODDBALL8_ROWS, oddball8
+from conftest import ODDBALL8_ROWS, oddball8, relabelled
 
 
 # -- validation -----------------------------------------------------------------
@@ -117,6 +119,37 @@ def test_face_partition_ids_index_the_faces():
         assert all(v in m.faces(i)[ids[v]].flags for v in range(m.size))
     with pytest.raises(RankOutOfRange):
         m.face_partition(m.rank)
+
+
+def test_faces_reject_a_non_integer_rank():
+    with pytest.raises(RankOutOfRange):
+        torus_44(2, 0).faces(1.5)
+
+
+def test_face_of_reads_a_bool_rank_as_an_int():
+    face = torus_44(2, 0).face_of(True, 0)
+    assert type(face.rank) is int and face.rank == 1
+
+
+def test_components_of_rejects_a_non_integer_colour():
+    with pytest.raises(OutOfRange):
+        torus_44(2, 0).components_of([1.0])
+
+
+def test_partitions_from_cached_prefixes_equal_graph_components(all_fixtures, corpus):
+    """Each colour mask's partition, built from the mask without its top
+    colour, equals a union-find over all of its colours, id for id."""
+    inputs = list(all_fixtures.values()) + [s.maniplex for s in corpus]
+    inputs += [bitflip(n) for n in range(2, 9)]
+    inputs += [relabelled(m, seed) for seed, m in enumerate(inputs)]
+    for m in inputs:
+        fresh = Maniplex(m.graph)
+        # From the full mask down, so that most builds recurse into a prefix.
+        for mask in reversed(range(1 << m.rank)):
+            cols = [c for c in range(m.rank) if mask >> c & 1]
+            got, want = fresh.components_of(cols), components(m.graph, cols)
+            assert (got.ids, got.block_count()) == (want.ids, want.block_count())
+    assert len(inputs) == 2 * (18 + 1000 + 7)
 
 
 def test_face_of_rank_out_of_range():

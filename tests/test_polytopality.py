@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import replace
 
 import pytest
@@ -14,7 +13,9 @@ from maniplexes import (
     SpipWitness,
     are_isomorphic,
     beta,
+    bitflip,
     build_graph,
+    chain_of_flag,
     check_cip,
     check_spip,
     check_wpip,
@@ -31,7 +32,7 @@ from maniplexes import (
 )
 from maniplexes.errors import InconsistentVerdicts, NotAPolytope
 from maniplexes.polytopality import _certify_beta, _split_pair
-from conftest import ALT_3TORUS_BASIS, POLYTOPAL_NAMES
+from conftest import ALT_3TORUS_BASIS, POLYTOPAL_NAMES, relabelled
 import oracles
 from oracles import check_cip_via_chains
 
@@ -173,9 +174,7 @@ def test_spip_cube_holds():
 def test_spip_rank_cap():
     # rank-7 maniplex: colour c flips bit c (flag graph of a 7-fold digonal
     # pile); above rank 6 SPIP checks only the interval property's pairs.
-    size = 1 << 7
-    rows = [[v ^ (1 << c) for v in range(size)] for c in range(7)]
-    m = Maniplex(build_graph(7, rows))
+    m = bitflip(7)
     assert check_spip(m)
     assert check_wpip(m).holds
 
@@ -309,6 +308,12 @@ def test_beta_segment():
     assert len(chains) == 2 and len(set(chains)) == 2
 
 
+def test_beta_equals_the_chain_of_each_flag(all_fixtures):
+    inputs = list(all_fixtures.values()) + [bitflip(n) for n in range(2, 9)]
+    for m in inputs:
+        assert beta(m) == tuple(chain_of_flag(m, v) for v in range(m.size))
+
+
 def test_beta_is_onto_the_maximal_chains(all_fixtures, all_posets):
     from maniplexes import maximal_chains
 
@@ -384,32 +389,14 @@ def test_is_polytopal_matches_table(all_fixtures):
 # -- the certified isomorphism ----------------------------------------------------
 
 
-def _bitflip(n: int) -> Maniplex:
-    rows = [[v ^ (1 << c) for v in range(1 << n)] for c in range(n)]
-    return Maniplex(build_graph(n, rows))
-
-
-def _relabelled(m: Maniplex, seed: int) -> Maniplex:
-    """A copy under a seeded flag permutation that moves flag 0."""
-    rng = random.Random(seed)
-    perm = list(range(m.size))
-    while perm[0] == 0:
-        rng.shuffle(perm)
-    rows = [[0] * m.size for _ in range(m.rank)]
-    for row, out in zip(m.graph.matchings, rows):
-        for v, w in enumerate(row):
-            out[perm[v]] = perm[w]
-    return Maniplex(build_graph(m.rank, rows))
-
-
 def test_isomorphism_is_the_one_the_anchor_search_finds(all_fixtures, corpus):
     """The certified ``beta`` equals ``are_isomorphic`` onto the rebuilt flag
     graph on every polytopal input, relabelled copies included."""
     polytopal = [(name, all_fixtures[name]) for name in sorted(POLYTOPAL_NAMES)]
     polytopal += [(s.seed, s.maniplex) for s in corpus if s.cip]
-    polytopal += [(f"bitflip({n})", _bitflip(n)) for n in range(2, 9)]
+    polytopal += [(f"bitflip({n})", bitflip(n)) for n in range(2, 9)]
     moved = [
-        ((label, "relabelled"), _relabelled(m, seed))
+        ((label, "relabelled"), relabelled(m, seed))
         for seed, (label, m) in enumerate(polytopal)
     ]
     for label, m in polytopal + moved:

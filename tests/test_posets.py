@@ -335,6 +335,11 @@ def test_chain_of_flag_rejects_flags_out_of_range():
             chain_of_flag(m, flag)
 
 
+def test_chain_of_flag_rejects_a_non_integer_flag():
+    with pytest.raises(OutOfRange):
+        chain_of_flag(torus_44(2, 0), 1.5)
+
+
 # -- sections ---------------------------------------------------------------------
 
 
