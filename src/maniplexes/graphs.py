@@ -18,6 +18,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import (
     DisconnectedInput,
     FixedPoint,
+    InconsistentVerdicts,
     ManiplexError,
     MultiEdge,
     NotInvolution,
@@ -30,15 +31,16 @@ MAX_RANK = 64
 
 
 def index_in_range(
-    value: object, stop: int, error: type[ManiplexError], what: str
+    value: object, stop: int, error: type[ManiplexError], what: str, start: int = 0
 ) -> int:
-    """``value`` as an ``int`` in ``0..stop-1``, else ``error`` naming ``what``."""
+    """``value`` as an ``int`` in ``start..stop-1``, else ``error`` naming
+    ``what``."""
     try:
         i = operator.index(value)
     except TypeError:
         raise error(f"{what} {value!r} is not an integer") from None
-    if not 0 <= i < stop:
-        raise error(f"{what} {i} not in range 0..{stop - 1}")
+    if not start <= i < stop:
+        raise error(f"{what} {i} not in range {start}..{stop - 1}")
     return i
 
 
@@ -79,8 +81,7 @@ def build_graph(rank: int, matchings: Sequence[Sequence[int]]) -> ColouredGraph:
     ragged rows, :class:`FixedPoint` / :class:`NotInvolution` for defective
     matchings and :class:`MultiEdge` when two colours agree at a flag.
     """
-    if not 1 <= rank <= MAX_RANK:
-        raise OutOfRange(f"rank {rank} not in range 1..{MAX_RANK}")
+    rank = index_in_range(rank, MAX_RANK + 1, OutOfRange, "rank", start=1)
     if len(matchings) != rank:
         raise SizeMismatch(
             f"expected {rank} matchings, got {len(matchings)}"
@@ -94,7 +95,10 @@ def build_graph(rank: int, matchings: Sequence[Sequence[int]]) -> ColouredGraph:
             raise SizeMismatch(
                 f"colour {c} has {len(row)} entries, expected {size}"
             )
-        row = tuple(row)
+        try:
+            row = tuple(map(operator.index, row))
+        except TypeError:
+            raise OutOfRange(f"colour {c} has a non-integer entry") from None
         for v in range(size):
             w = row[v]
             if not 0 <= w < size:
@@ -209,6 +213,17 @@ def partition_meet(p: Partition, q: Partition) -> Partition:
             seen[key] = len(seen)
         ids.append(seen[key])
     return Partition(ids, _count=len(seen))
+
+
+def split_pair(coarse: Partition, fine: Partition) -> tuple[int, int]:
+    """First flag pair (canonical block order) joined by ``coarse`` but
+    separated by ``fine``."""
+    for block in coarse.blocks():
+        tid = fine.ids[block[0]]
+        for f in block[1:]:
+            if fine.ids[f] != tid:
+                return block[0], f
+    raise InconsistentVerdicts("partitions compared unequal but nothing splits")
 
 
 def meet_all(parts: Iterable[Partition]) -> Partition:

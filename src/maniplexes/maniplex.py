@@ -295,12 +295,9 @@ def normalize_path(
     (with sentinels ``i_0 = -1`` and ``i_{k+1} = rank``), whose concatenation
     joins ``path.start`` to ``path.end``.  Rewriting never lengthens the word.
     """
-    piv = list(pivots)
+    piv = [index_in_range(c, m.rank, OutOfRange, "pivot") for c in pivots]
     if piv != sorted(set(piv)):
         raise OutOfRange("pivots must be strictly increasing")
-    for c in piv:
-        if not 0 <= c < m.rank:
-            raise OutOfRange(f"pivot {c} not in range 0..{m.rank - 1}")
     for c in path.colours:
         if c in piv:
             raise PathUsesPivotColour(f"path step uses pivot colour {c}")

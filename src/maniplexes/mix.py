@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InconsistentVerdicts, OutOfRange, RankMismatch
+from .errors import InconsistentVerdicts, RankMismatch
 from .graphs import _propagate, build_graph
 from .maniplex import Maniplex
 
@@ -30,15 +30,12 @@ def mix_with_projections(
 
     Flags of the mix are numbered in breadth-first discovery order from the
     base pair, exploring colours in ascending order, so the result is
-    deterministic.  Raises :class:`RankMismatch` for unequal ranks.
+    deterministic.  Raises :class:`RankMismatch` for unequal ranks and
+    :class:`OutOfRange` for a base flag that is not a flag of its factor.
     """
     if m.rank != n.rank:
         raise RankMismatch(f"cannot mix ranks {m.rank} and {n.rank}")
-    if not 0 <= base_m < m.size:
-        raise OutOfRange(f"base flag {base_m} not in 0..{m.size - 1}")
-    if not 0 <= base_n < n.size:
-        raise OutOfRange(f"base flag {base_n} not in 0..{n.size - 1}")
-    start = (base_m, base_n)
+    start = (m.graph.check_flag(base_m), n.graph.check_flag(base_n))
     index: dict[tuple[int, int], int] = {start: 0}
     order = [start]
     for a, b in order:

@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import InconsistentVerdicts, ManiplexError, NotAPolytope
-from .graphs import Partition, build_graph, partition_meet
+from .graphs import build_graph, partition_meet, split_pair
 from .maniplex import Maniplex
 from .posets import (
     CheckResult,
@@ -87,17 +87,6 @@ class PolytopalityReport:
     flag_graph_isomorphism: Optional[tuple[int, ...]]
 
 
-def _split_pair(coarse: Partition, fine: Partition) -> tuple[int, int]:
-    """First flag pair (canonical block order) joined by ``coarse`` but
-    separated by ``fine``."""
-    for block in coarse.blocks():
-        tid = fine.ids[block[0]]
-        for f in block[1:]:
-            if fine.ids[f] != tid:
-                return block[0], f
-    raise InconsistentVerdicts("partitions compared unequal but nothing splits")
-
-
 def _colours(mask: int) -> tuple[int, ...]:
     return tuple(c for c in range(mask.bit_length()) if mask >> c & 1)
 
@@ -109,7 +98,7 @@ def _split(m: Maniplex, a: int, b: int) -> Optional[tuple[int, int]]:
     pa, pb, target = m._components(a), m._components(b), m._components(a & b)
     if len(set(zip(pa.ids, pb.ids))) == target.block_count():
         return None
-    return _split_pair(partition_meet(pa, pb), target)
+    return split_pair(partition_meet(pa, pb), target)
 
 
 def _windows(n: int):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InconsistentVerdicts, NotAChain, NotComparable, OutOfRange
+from .graphs import Partition, index_in_range, split_pair
 from .maniplex import Maniplex
 
 Ref = tuple[int, int]
@@ -98,28 +99,22 @@ class InducedPoset:
         if include_improper:
             yield (self.n, 0)
 
-    def _check_ref(self, ref: Ref) -> None:
+    def _check_ref(self, ref: Ref) -> Ref:
+        """``ref`` with integer parts, or :class:`OutOfRange`."""
         r, k = ref
-        if r == -1 or r == self.n:
-            if k != 0:
-                raise OutOfRange(f"improper rank {r} has a single face, not {k}")
-            return
-        if not 0 <= r < self.n:
-            raise OutOfRange(f"rank {r} not in range -1..{self.n}")
-        if not 0 <= k < len(self.level_flags[r]):
-            raise OutOfRange(f"rank {r} has no face {k}")
+        r = index_in_range(r, self.n + 1, OutOfRange, "rank", start=-1)
+        faces = 1 if r in (-1, self.n) else len(self.level_flags[r])
+        return r, index_in_range(k, faces, OutOfRange, f"rank {r} face")
 
     def flags_of(self, ref: Ref) -> frozenset[int]:
-        self._check_ref(ref)
-        r, k = ref
+        r, k = self._check_ref(ref)
         if r == -1 or r == self.n:
             return self.universe
         return self.level_flags[r][k]
 
     def leq(self, a: Ref, b: Ref) -> bool:
         """Order relation: equal, or lower rank and incident."""
-        self._check_ref(a)
-        self._check_ref(b)
+        a, b = self._check_ref(a), self._check_ref(b)
         return a == b or b[1] in _above(self, a, b[0])
 
     def __eq__(self, other: object) -> bool:
@@ -140,25 +135,12 @@ class InducedPoset:
     def _chain_tuples(self) -> tuple[tuple[int, ...], ...]:
         """All maximal chains as per-rank face indices, in lex order."""
         if self._chains is None:
-            if self.n <= 0:
-                self._chains = ((),)
-            else:
-                up = self.up
-                out: list[tuple[int, ...]] = []
-                prefix: list[int] = []
-
-                def rec(r: int, k: int) -> None:
-                    prefix.append(k)
-                    if r == self.n - 1:
-                        out.append(tuple(prefix))
-                    else:
-                        for k2 in up[r][r + 1][k]:
-                            rec(r + 1, k2)
-                    prefix.pop()
-
-                for k0 in range(len(self.level_flags[0])):
-                    rec(0, k0)
-                self._chains = tuple(out)
+            n = self.n
+            chains = [(k,) for k in range(len(self.level_flags[0]))] if n > 0 else [()]
+            for r in range(n - 1):
+                ups = self.up[r][r + 1]
+                chains = [ch + (k,) for ch in chains for k in ups[ch[-1]]]
+            self._chains = tuple(chains)
         return self._chains
 
     def maximal_chains(self) -> tuple[MaximalChain, ...]:
@@ -233,12 +215,14 @@ def chain_intersection(
         p = induced_poset(p)
     refs = sorted(
         {
-            (f.rank, f.index) if hasattr(f, "rank") and hasattr(f, "index") else tuple(f)
+            p._check_ref(
+                (f.rank, f.index)
+                if hasattr(f, "rank") and hasattr(f, "index")
+                else tuple(f)
+            )
             for f in faces
         }
     )
-    for ref in refs:
-        p._check_ref(ref)
     proper = [ref for ref in refs if 0 <= ref[0] < p.n]
     for i, a in enumerate(proper):
         for b in proper[i + 1 :]:
@@ -276,6 +260,7 @@ def section(p: InducedPoset, a: Ref, b: Ref) -> InducedPoset:
     Levels and incidences are the ambient ones, re-indexed in ascending
     order, so a section keeps the ambient order.
     """
+    a, b = p._check_ref(a), p._check_ref(b)
     if a == b or not p.leq(a, b):
         raise NotComparable(f"{a} is not strictly below {b}")
     ranks = range(a[0] + 1, b[0])
@@ -377,43 +362,40 @@ def strong_flag_connectivity(p: InducedPoset) -> CheckResult:
     """Whether any two maximal chains are joined by single-face steps
     through chains containing their common faces.
 
-    Between two faces a chain may vary freely, so the chains through a set
-    of faces form the product of the segment graphs between consecutive
-    shared ranks, and the condition holds exactly when every segment graph
-    is connected.  For each span ``lo < hi`` of positions in the chains
-    with their improper ends (gaps below three are always connected),
-    chains whose ``lo..hi`` segments differ in at most one face are joined,
-    and each group of chains through one face at ``lo`` and one at ``hi``
-    must be a single component.  The witness is the first failing chain
-    pair in lex order: the first chain heading a split group, and the first
-    chain outside its component among the groups it heads.
+    A chain through two faces varies freely below, between and above them,
+    so the condition holds exactly when, for every rank interval ``a..b``
+    with ``a < b``, the chains that agree outside ``a..b`` are connected by
+    steps changing one face inside it.  For each ``a`` one union-find grows
+    with ``b`` by joining the chains equal except at rank ``b``; its
+    components refine the classes of chains agreeing outside ``a..b``, so
+    equal block counts decide the interval.  The witness is the first
+    failing chain pair in lex order: the least first split pair of a
+    failing interval.
     """
-    n = p.n
-    chains = [(0,) + ch + (0,) for ch in p._chain_tuples()]
+    chains = p._chain_tuples()
     pairs: list[tuple[int, int]] = []
-    for lo in range(n + 2):
-        for hi in range(lo + 3, n + 2):
-            parent = list(range(len(chains)))
 
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-            for i in range(lo + 1, hi):
-                first: dict[tuple[int, ...], int] = {}
-                for t, ch in enumerate(chains):
-                    key = ch[lo:i] + ch[i + 1 : hi + 1]
-                    parent[find(t)] = find(first.setdefault(key, t))
-            groups: dict[tuple[int, int], list[int]] = {}
+    for a in range(p.n - 1):
+        parent = list(range(len(chains)))
+        blocks = len(chains)
+        for b in range(a, p.n):
+            first: dict[tuple[int, ...], int] = {}
             for t, ch in enumerate(chains):
-                groups.setdefault((ch[lo], ch[hi]), []).append(t)
-            for head, *rest in groups.values():
-                root = find(head)
-                other = next((t for t in rest if find(t) != root), None)
-                if other is not None:
-                    pairs.append((head, other))
+                u, v = find(t), find(first.setdefault(ch[:b] + ch[b + 1 :], t))
+                if u != v:
+                    parent[u] = v
+                    blocks -= 1
+            if b > a:
+                classes = Partition([ch[:a] + ch[b + 1 :] for ch in chains])
+                if classes.block_count() != blocks:
+                    comps = Partition([find(t) for t in range(len(chains))])
+                    pairs.append(split_pair(classes, comps))
     if not pairs:
         return CheckResult(True)
     t1, t2 = min(pairs)

@@ -11,10 +11,14 @@ checks as plain loops over that relation, with the library's scan order
 and witnesses; they are slow and only meant for comparison.
 ``strong_flag_connectivity`` is the definition's own scan: one union-find
 per subset of ranks, then every chain pair judged in the group of the ranks
-where the two agree.  ``check_cip``, ``check_wpip`` and ``check_spip`` are
-the three partition criteria as separate meet-and-compare loops: CIP meets
-all ``|S|`` single-colour-removed partitions of each subset, and SPIP above
-rank 6 translates the interval witness.
+where the two agree.  ``strong_flag_connectivity_by_spans`` is the
+library's former check, kept verbatim to pin its verdict and witness: a
+union-find per span of positions in the chains padded with their improper
+ends, one keyed pass per interior position.  ``check_cip``, ``check_wpip``
+and ``check_spip`` are the three partition criteria as separate
+meet-and-compare loops: CIP meets all ``|S|`` single-colour-removed
+partitions of each subset, and SPIP above rank 6 translates the interval
+witness.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from maniplexes import (
     meet_all,
     partition_meet,
 )
-from maniplexes.polytopality import _split_pair
+from maniplexes.graphs import split_pair
 
 
 def check_cip_via_chains(
@@ -228,6 +232,57 @@ def strong_flag_connectivity(p: InducedPoset) -> CheckResult:
     return CheckResult(True)
 
 
+# -- strong flag connectivity by rank spans of padded chains ---------------------
+
+
+def strong_flag_connectivity_by_spans(p: InducedPoset) -> CheckResult:
+    """Whether any two maximal chains are joined by single-face steps
+    through chains containing their common faces.
+
+    Between two faces a chain may vary freely, so the chains through a set
+    of faces form the product of the segment graphs between consecutive
+    shared ranks, and the condition holds exactly when every segment graph
+    is connected.  For each span ``lo < hi`` of positions in the chains
+    with their improper ends (gaps below three are always connected),
+    chains whose ``lo..hi`` segments differ in at most one face are joined,
+    and each group of chains through one face at ``lo`` and one at ``hi``
+    must be a single component.  The witness is the first failing chain
+    pair in lex order: the first chain heading a split group, and the first
+    chain outside its component among the groups it heads.
+    """
+    n = p.n
+    chains = [(0,) + ch + (0,) for ch in p._chain_tuples()]
+    pairs: list[tuple[int, int]] = []
+    for lo in range(n + 2):
+        for hi in range(lo + 3, n + 2):
+            parent = list(range(len(chains)))
+
+            def find(x: int) -> int:
+                while parent[x] != x:
+                    parent[x] = parent[parent[x]]
+                    x = parent[x]
+                return x
+
+            for i in range(lo + 1, hi):
+                first: dict[tuple[int, ...], int] = {}
+                for t, ch in enumerate(chains):
+                    key = ch[lo:i] + ch[i + 1 : hi + 1]
+                    parent[find(t)] = find(first.setdefault(key, t))
+            groups: dict[tuple[int, int], list[int]] = {}
+            for t, ch in enumerate(chains):
+                groups.setdefault((ch[lo], ch[hi]), []).append(t)
+            for head, *rest in groups.values():
+                root = find(head)
+                other = next((t for t in rest if find(t) != root), None)
+                if other is not None:
+                    pairs.append((head, other))
+    if not pairs:
+        return CheckResult(True)
+    t1, t2 = min(pairs)
+    chain_list = p.maximal_chains()
+    return CheckResult(False, (chain_list[t1], chain_list[t2]))
+
+
 def check_cip(m: Maniplex) -> CheckResult:
     """Intersection property over every nonempty colour subset.
 
@@ -244,7 +299,7 @@ def check_cip(m: Maniplex) -> CheckResult:
                 m.components_of(c for c in range(n) if c != i) for i in sub
             )
             if met != target:
-                a, b = _split_pair(met, target)
+                a, b = split_pair(met, target)
                 return CheckResult(False, CipWitness(sub, a, b))
     return CheckResult(True)
 
@@ -263,7 +318,7 @@ def check_wpip(m: Maniplex) -> WpipResult:
             between = m.components_of(range(low + 1, high))
             met = partition_meet(above, below)
             if met != between:
-                a, b = _split_pair(met, between)
+                a, b = split_pair(met, between)
                 failures.append((low, high))
                 if first is None:
                     first = WindowWitness(low, high, a, b)
@@ -308,6 +363,6 @@ def check_spip(m: Maniplex) -> CheckResult:
             )
             target = m.components_of(bits(inter))
             if met != target:
-                a, b = _split_pair(met, target)
+                a, b = split_pair(met, target)
                 return CheckResult(False, SpipWitness(bits(am), bits(bm), a, b))
     return CheckResult(True)

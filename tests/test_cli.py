@@ -81,6 +81,17 @@ def test_check_json_matches_golden(flags):
     assert json.loads(r.stdout)["polytopal"] is False
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimised"])
+def test_check_json_matches_sfc_failure_golden(tmp_path, flags):
+    # the one golden whose poset fails strong flag connectivity
+    basis = ("--v1", "1,1,0", "--v2", "1,-1,0", "--v3", "0,0,2")
+    f = gen(tmp_path, "rect3torus_alt", "rect3torus", *basis)
+    r = run("check", "--json", f, flags=flags)
+    assert r.returncode == 1
+    assert r.stdout == (GOLDEN / "rect3torus_alt.json").read_text()
+    assert json.loads(r.stdout)["poset"]["strong_flag_connected"]["holds"] is False
+
+
 def test_missing_file_exits_66():
     r = run("check", "/no/such/file.mpx")
     assert r.returncode == 66

@@ -84,6 +84,16 @@ def test_build_graph_rejects_out_of_range_entry():
         build_graph(1, [[99, 0]])
 
 
+def test_build_graph_rejects_a_non_integer_rank():
+    with pytest.raises(OutOfRange, match="rank 2.0 is not an integer"):
+        build_graph(2.0, [[1, 0], [1, 0]])
+
+
+def test_build_graph_rejects_a_non_integer_entry():
+    with pytest.raises(OutOfRange, match="colour 0 has a non-integer entry"):
+        build_graph(1, [[1.0, 0]])
+
+
 def test_error_scan_order_is_colour_major():
     # colour 0 is defective at flag 2, colour 1 already at flag 0; the
     # canonical scan visits all of colour 0 first.

@@ -15,6 +15,7 @@ from maniplexes import (
     polygon,
     poset_dot,
     read_mpx,
+    rectified_cubic_3torus,
     report_to_dict,
     torus_44,
     write_dot,
@@ -22,6 +23,7 @@ from maniplexes import (
     write_mpx,
 )
 from maniplexes.errors import ParseError
+from conftest import ALT_3TORUS_BASIS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -115,6 +117,7 @@ def test_json_matches_golden_files():
     for name, m in [
         ("torus44_1_1", torus_44(1, 1)),
         ("torus44_2_0", torus_44(2, 0)),
+        ("rect3torus_alt", rectified_cubic_3torus(ALT_3TORUS_BASIS)),
     ]:
         got = write_json(m, is_polytopal(m))
         want = (GOLDEN / f"{name}.json").read_text()

@@ -262,6 +262,12 @@ def test_normalize_path_fixed_point():
     assert [s.colours for s in segs] == [(0, 1), (4,)]
 
 
+def test_normalize_path_rejects_a_non_integer_pivot():
+    m = hypercube(3)
+    with pytest.raises(OutOfRange, match="pivot 1.5 is not an integer"):
+        normalize_path(m, make_path(m, 0, [0]), [1.5])
+
+
 def test_normalize_path_rejects_pivot_colour():
     m = hypercube(3)
     with pytest.raises(PathUsesPivotColour):

@@ -17,7 +17,7 @@ from maniplexes import (
     polygon,
     torus_44,
 )
-from maniplexes.errors import InconsistentVerdicts, RankMismatch
+from maniplexes.errors import InconsistentVerdicts, OutOfRange, RankMismatch
 
 # frozen (a, b, |a|, |b|, |a mix b|) table
 MIX_SIZES = [
@@ -46,6 +46,13 @@ def _named():
 def test_mix_requires_equal_rank():
     with pytest.raises(RankMismatch):
         mix(polygon(3), hypercube(3))
+
+
+def test_mix_rejects_base_flags_that_are_not_flags():
+    t = torus_44(1, 1)
+    for base in ((1.5, 0), (0, 1.5), (t.size, 0), (0, -1)):
+        with pytest.raises(OutOfRange):
+            mix(t, t, *base)
 
 
 def test_mix_with_self_is_isomorphic_to_self():

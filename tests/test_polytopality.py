@@ -8,13 +8,11 @@ import pytest
 
 from maniplexes import (
     CheckResult,
-    Maniplex,
     Partition,
     SpipWitness,
     are_isomorphic,
     beta,
     bitflip,
-    build_graph,
     chain_of_flag,
     check_cip,
     check_spip,
@@ -31,8 +29,14 @@ from maniplexes import (
     torus_44,
 )
 from maniplexes.errors import InconsistentVerdicts, NotAPolytope
-from maniplexes.polytopality import _certify_beta, _split_pair
-from conftest import ALT_3TORUS_BASIS, POLYTOPAL_NAMES, relabelled
+from maniplexes.graphs import split_pair
+from maniplexes.polytopality import _certify_beta
+from conftest import (
+    ALT_3TORUS_BASIS,
+    POLYTOPAL_NAMES,
+    relabelled,
+    torus11_times_4bit,
+)
 import oracles
 from oracles import check_cip_via_chains
 
@@ -182,18 +186,7 @@ def test_spip_rank_cap():
 def test_split_pair_of_equal_partitions_raises_a_typed_error():
     part = Partition([0, 0, 1, 1])
     with pytest.raises(InconsistentVerdicts):
-        _split_pair(part, Partition([0, 0, 1, 1]))
-
-
-def torus11_times_4bit() -> Maniplex:
-    """Rank 7: colours 0..2 act on torus44(1,1), colours 3..6 each flip one
-    bit of a 4-bit cube factor, so the torus defect breaks the interval
-    property at the window (0, 2)."""
-    t = torus_44(1, 1)
-    flags = range(t.size * 16)  # flag 16 * a + b: torus flag a, cube flag b
-    rows = [[t.neighbour(c, v // 16) * 16 + v % 16 for v in flags] for c in range(3)]
-    rows += [[v ^ (1 << bit) for v in flags] for bit in range(4)]
-    return Maniplex(build_graph(7, rows))
+        split_pair(part, Partition([0, 0, 1, 1]))
 
 
 def test_spip_delegation_translates_wpip_witness():

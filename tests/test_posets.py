@@ -11,6 +11,7 @@ from maniplexes import (
     InducedPoset,
     MaximalChain,
     all_chains,
+    bitflip,
     chain_intersection,
     chain_of_flag,
     diamond,
@@ -28,7 +29,7 @@ from maniplexes import (
     uniform_chain_length,
 )
 from maniplexes.errors import NotAChain, NotComparable, OutOfRange
-from conftest import ALT_3TORUS_BASIS
+from conftest import ALT_3TORUS_BASIS, torus11_times_4bit
 from oracles import faithful_by_chain_count, faithful_by_enumeration
 
 
@@ -182,7 +183,9 @@ def _assert_matches_oracles(p, label):
     assert got == [[oracles.leq(p, a, b) for b in refs] for a in refs], label
     assert diamond(p) == oracles.diamond(p), label
     assert uniform_chain_length(p) == oracles.uniform_chain_length(p), label
-    assert strong_flag_connectivity(p) == oracles.strong_flag_connectivity(p), label
+    sfc = strong_flag_connectivity(p)
+    assert sfc == oracles.strong_flag_connectivity(p), label
+    assert sfc == oracles.strong_flag_connectivity_by_spans(p), label
 
 
 def _sections(p):
@@ -338,6 +341,21 @@ def test_chain_of_flag_rejects_flags_out_of_range():
 def test_chain_of_flag_rejects_a_non_integer_flag():
     with pytest.raises(OutOfRange):
         chain_of_flag(torus_44(2, 0), 1.5)
+
+
+def test_poset_refs_must_be_integer_pairs_in_range():
+    p = induced_poset(torus_44(2, 0))
+    calls = [
+        lambda ref: p.leq(ref, (1, 0)),
+        lambda ref: p.leq((-1, 0), ref),
+        p.flags_of,
+        lambda ref: section(p, ref, (3, 0)),
+        lambda ref: chain_intersection(p, [ref]),
+    ]
+    for ref in [(0, 1.5), (1.0, 0), (-2, 0), (4, 0), (3, 1), (0, 4)]:
+        for call in calls:
+            with pytest.raises(OutOfRange):
+                call(ref)
 
 
 # -- sections ---------------------------------------------------------------------
@@ -514,6 +532,65 @@ def test_sfc_witness_is_a_pair_of_maximal_chains():
         assert len(chains) == count, basis
         assert (chains.index(a), chains.index(b)) == positions, basis
         assert (a.proper, b.proper) == proper, basis
+
+
+def test_sfc_matches_the_span_oracle_at_higher_rank():
+    inputs = [(f"bitflip({n})", bitflip(n)) for n in range(2, 11)]
+    inputs += [(f"hypercube({d})", hypercube(d)) for d in range(1, 5)]
+    inputs.append(("torus11_times_4bit", torus11_times_4bit()))
+    for label, m in inputs:
+        p = induced_poset(m)
+        res = strong_flag_connectivity(p)
+        assert res == oracles.strong_flag_connectivity_by_spans(p), label
+        assert res.holds, label
+
+
+def twin(p: InducedPoset) -> InducedPoset:
+    """Two disjoint copies of ``p`` under one bottom and one top face."""
+    shift = len(p.universe)
+    level_flags = [
+        level + tuple(frozenset(v + shift for v in f) for f in level)
+        for level in p.level_flags
+    ]
+    up = tuple(
+        tuple(
+            row + tuple(tuple(l + len(p.level_flags[s]) for l in ls) for ls in row)
+            for s, row in enumerate(rows)
+        )
+        for rows in p.up
+    )
+    return InducedPoset(p.n, level_flags, frozenset(range(2 * shift)), up)
+
+
+@pytest.mark.parametrize(
+    "m, chains",
+    [(hypercube(4), 384), (bitflip(5), 32), (bitflip(6), 64)],
+    ids=["hypercube(4)", "bitflip(5)", "bitflip(6)"],
+)
+def test_twin_posets_fail_sfc_only_on_the_full_interval(m, chains):
+    # every proper section lies inside one copy, so only the interval of
+    # all ranks can tell the copies apart.
+    p = twin(induced_poset(m))
+    assert uniform_chain_length(p).holds and diamond(p).holds
+    res = strong_flag_connectivity(p)
+    assert not res
+    got = maximal_chains(p)
+    assert len(got) == 2 * chains
+    assert res.witness == (got[0], got[chains])
+    assert res == oracles.strong_flag_connectivity_by_spans(p)
+    assert res == oracles.strong_flag_connectivity(p)
+
+
+def test_chain_tuples_extend_rank_by_rank_in_lex_order(all_posets):
+    for name, p in all_posets.items():
+        chains = p._chain_tuples()
+        assert list(chains) == sorted(set(chains)), name
+        assert all(len(ch) == p.n for ch in chains), name
+        assert all(
+            ch[r + 1] in p.up[r][r + 1][ch[r]]
+            for ch in chains
+            for r in range(p.n - 1)
+        ), name
 
 
 def test_klein_and_torus10_have_isomorphic_posets():
