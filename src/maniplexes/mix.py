@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InconsistentVerdicts, RankMismatch
-from .graphs import _propagate, build_graph
+from .errors import InconsistentVerdicts, OutOfRange, RankMismatch
+from .graphs import _propagate, build_graph, index_in_range
 from .maniplex import Maniplex
 
 
@@ -35,7 +35,10 @@ def mix_with_projections(
     """
     if m.rank != n.rank:
         raise RankMismatch(f"cannot mix ranks {m.rank} and {n.rank}")
-    start = (m.graph.check_flag(base_m), n.graph.check_flag(base_n))
+    start = (
+        index_in_range(base_m, m.size, OutOfRange, "base flag of the first factor"),
+        index_in_range(base_n, n.size, OutOfRange, "base flag of the second factor"),
+    )
     index: dict[tuple[int, int], int] = {start: 0}
     order = [start]
     for a, b in order:

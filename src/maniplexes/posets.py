@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InconsistentVerdicts, NotAChain, NotComparable, OutOfRange
 from .graphs import Partition, index_in_range, split_pair
-from .maniplex import Maniplex
+from .maniplex import Face, Maniplex
 
 Ref = tuple[int, int]
 Table = tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]
@@ -101,7 +101,10 @@ class InducedPoset:
 
     def _check_ref(self, ref: Ref) -> Ref:
         """``ref`` with integer parts, or :class:`OutOfRange`."""
-        r, k = ref
+        try:
+            r, k = ref
+        except (TypeError, ValueError):
+            raise OutOfRange(f"face {ref!r} is not a (rank, index) pair") from None
         r = index_in_range(r, self.n + 1, OutOfRange, "rank", start=-1)
         faces = 1 if r in (-1, self.n) else len(self.level_flags[r])
         return r, index_in_range(k, faces, OutOfRange, f"rank {r} face")
@@ -214,14 +217,7 @@ def chain_intersection(
     if isinstance(p, Maniplex):
         p = induced_poset(p)
     refs = sorted(
-        {
-            p._check_ref(
-                (f.rank, f.index)
-                if hasattr(f, "rank") and hasattr(f, "index")
-                else tuple(f)
-            )
-            for f in faces
-        }
+        {p._check_ref((f.rank, f.index) if isinstance(f, Face) else f) for f in faces}
     )
     proper = [ref for ref in refs if 0 <= ref[0] < p.n]
     for i, a in enumerate(proper):
@@ -373,6 +369,12 @@ def strong_flag_connectivity(p: InducedPoset) -> CheckResult:
     failing interval.
     """
     chains = p._chain_tuples()
+    # rep[b][t]: the first chain equal to chain t except at rank b
+    rep = []
+    for b in range(p.n):
+        first: dict[tuple[int, ...], int] = {}
+        keys = (ch[:b] + ch[b + 1 :] for ch in chains)
+        rep.append([first.setdefault(k, t) for t, k in enumerate(keys)])
     pairs: list[tuple[int, int]] = []
 
     def find(x: int) -> int:
@@ -385,9 +387,8 @@ def strong_flag_connectivity(p: InducedPoset) -> CheckResult:
         parent = list(range(len(chains)))
         blocks = len(chains)
         for b in range(a, p.n):
-            first: dict[tuple[int, ...], int] = {}
-            for t, ch in enumerate(chains):
-                u, v = find(t), find(first.setdefault(ch[:b] + ch[b + 1 :], t))
+            for t, s in enumerate(rep[b]):
+                u, v = find(t), find(s)
                 if u != v:
                     parent[u] = v
                     blocks -= 1

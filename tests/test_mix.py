@@ -50,8 +50,13 @@ def test_mix_requires_equal_rank():
 
 def test_mix_rejects_base_flags_that_are_not_flags():
     t = torus_44(1, 1)
-    for base in ((1.5, 0), (0, 1.5), (t.size, 0), (0, -1)):
-        with pytest.raises(OutOfRange):
+    for base, factor in [
+        ((1.5, 0), "first"),
+        ((0, 1.5), "second"),
+        ((t.size, 0), "first"),
+        ((0, -1), "second"),
+    ]:
+        with pytest.raises(OutOfRange, match=f"base flag of the {factor} factor"):
             mix(t, t, *base)
 
 

@@ -352,7 +352,7 @@ def test_poset_refs_must_be_integer_pairs_in_range():
         lambda ref: section(p, ref, (3, 0)),
         lambda ref: chain_intersection(p, [ref]),
     ]
-    for ref in [(0, 1.5), (1.0, 0), (-2, 0), (4, 0), (3, 1), (0, 4)]:
+    for ref in [(0, 1.5), (1.0, 0), (-2, 0), (4, 0), (3, 1), (0, 4), 3, (0, 0, 0)]:
         for call in calls:
             with pytest.raises(OutOfRange):
                 call(ref)
