@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -109,11 +110,10 @@ def build_graph(rank: int, matchings: Sequence[Sequence[int]]) -> ColouredGraph:
             if row[w] != v:
                 raise NotInvolution(c, v)
         frozen.append(row)
-    for c in range(rank):
-        for d in range(c + 1, rank):
-            for v in range(size):
-                if frozen[c][v] == frozen[d][v]:
-                    raise MultiEdge(c, d, v)
+    for c, d in combinations(range(rank), 2):
+        if any(map(operator.eq, frozen[c], frozen[d])):
+            v = next(v for v in range(size) if frozen[c][v] == frozen[d][v])
+            raise MultiEdge(c, d, v)
     return ColouredGraph(rank=rank, size=size, matchings=tuple(frozen))
 
 
