@@ -34,7 +34,8 @@ MAX_RANK = 64
 def index_in_range(
     value: object, stop: int, error: type[ManiplexError], what: str, start: int = 0
 ) -> int:
-    """``value`` as an ``int`` in ``start..stop-1``, else ``error`` naming ``what``."""
+    """``value`` as an ``int`` in ``start..stop-1``, else ``error`` naming
+    ``what``."""
     try:
         i = operator.index(value)
     except TypeError:
