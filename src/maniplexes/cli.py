@@ -217,35 +217,33 @@ def build_parser() -> _Parser:
     p_check.set_defaults(func=_cmd_check)
 
     p_gen = sub.add_parser("gen", help="generate a maniplex family member")
-    p_gen.add_argument(
-        "family",
-        choices=["polygon", "cube", "torus44", "klein44", "rect3torus", "random"],
-    )
-    p_gen.add_argument("--p", type=int, default=3, help="polygon sides")
-    p_gen.add_argument("--d", type=int, default=3, help="cube dimension")
-    p_gen.add_argument("--b", type=int, default=1, help="torus44 translation x")
-    p_gen.add_argument("--c", type=int, default=0, help="torus44 translation y")
-    p_gen.add_argument(
-        "--v1",
-        default=",".join(map(str, DEFAULT_3TORUS_BASIS[0])),
-        help="rect3torus basis vector 1 (comma-separated)",
-    )
-    p_gen.add_argument(
-        "--v2",
-        default=",".join(map(str, DEFAULT_3TORUS_BASIS[1])),
-        help="rect3torus basis vector 2 (comma-separated)",
-    )
-    p_gen.add_argument(
-        "--v3",
-        default=",".join(map(str, DEFAULT_3TORUS_BASIS[2])),
-        help="rect3torus basis vector 3 (comma-separated)",
-    )
-    p_gen.add_argument("--rank", type=int, default=3, help="random rank (1..4)")
-    p_gen.add_argument("--seed", type=int, default=0, help="random seed")
-    p_gen.add_argument(
-        "--budget", type=int, default=64, help="random flag budget (max 512)"
-    )
-    p_gen.add_argument("-o", "--output", default="-", help="output file or -")
+    families = p_gen.add_subparsers(dest="family", required=True)
+    basis = [",".join(map(str, v)) for v in DEFAULT_3TORUS_BASIS]
+    for family, flags in (
+        ("polygon", [("--p", 3, "polygon sides")]),
+        ("cube", [("--d", 3, "cube dimension")]),
+        ("torus44", [("--b", 1, "translation x"), ("--c", 0, "translation y")]),
+        ("klein44", []),
+        (
+            "rect3torus",
+            [
+                (f"--v{k}", v, f"basis vector {k} (comma-separated)")
+                for k, v in enumerate(basis, 1)
+            ],
+        ),
+        (
+            "random",
+            [
+                ("--rank", 3, "rank (1..4)"),
+                ("--seed", 0, "random seed"),
+                ("--budget", 64, "flag budget (max 512)"),
+            ],
+        ),
+    ):
+        p_family = families.add_parser(family)
+        for flag, default, text in flags:
+            p_family.add_argument(flag, type=type(default), default=default, help=text)
+        p_family.add_argument("-o", "--output", default="-", help="output file or -")
     p_gen.set_defaults(func=_cmd_gen)
 
     p_poset = sub.add_parser("poset", help="summarize the induced poset")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 from .errors import (
     DisconnectedInput,
@@ -123,21 +123,18 @@ class Partition:
 
     Block ids are assigned by first appearance, so two partitions are equal
     iff their id arrays are equal; no normalisation pass is ever needed.
-    A builder whose ids are already canonical passes their block count as
-    ``_count`` and skips the relabelling.
+    Any hashable labels are relabelled that way.  A builder whose ids are
+    already canonical passes their block count as ``_count`` and skips the
+    relabelling.
     """
 
     __slots__ = ("size", "ids", "_count", "_blocks")
 
-    def __init__(self, ids: Sequence[int], *, _count: Optional[int] = None):
+    def __init__(self, ids: Iterable[Hashable], *, _count: Optional[int] = None):
         if _count is None:
-            relabel: dict[int, int] = {}
-            out = []
-            for x in ids:
-                if x not in relabel:
-                    relabel[x] = len(relabel)
-                out.append(relabel[x])
-            ids, _count = out, len(relabel)
+            relabel: dict[Hashable, int] = {}
+            ids = [relabel.setdefault(x, len(relabel)) for x in ids]
+            _count = len(relabel)
         self.ids = tuple(ids)
         self.size = len(self.ids)
         self._count = _count
@@ -174,29 +171,48 @@ class Partition:
         return f"Partition({self.block_count()} blocks on {self.size} flags)"
 
 
+def join(part: Partition, row: Sequence[int]) -> Partition:
+    """``part`` with the blocks of ``v`` and ``row[v]`` merged for every flag
+    ``v``; ``part`` itself when nothing merges.
+
+    The union runs on block ids and keeps the smaller id as the root.  Blocks
+    are ordered by smallest flag, so numbering the roots in block order keeps
+    the ids canonical.
+    """
+    ids = part.ids
+    parent = list(range(part.block_count()))
+    for a, b in set(zip(ids, map(ids.__getitem__, row))):
+        while a != parent[a]:
+            parent[a] = a = parent[parent[a]]
+        while b != parent[b]:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    # Every parent sits below its child, so new[up] already names the root.
+    new: list[int] = []
+    count = 0
+    for x, up in enumerate(parent):
+        if up == x:
+            new.append(count)
+            count += 1
+        else:
+            new.append(new[up])
+    if count == len(parent):
+        return part
+    return Partition(tuple(map(new.__getitem__, ids)), _count=count)
+
+
 def components(graph: ColouredGraph, colours: Iterable[int]) -> Partition:
     """Connected components of the subgraph using only ``colours`` edges."""
     cols = sorted(
         {index_in_range(c, graph.rank, OutOfRange, "colour") for c in colours}
     )
-    parent = list(range(graph.size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    part = Partition(range(graph.size), _count=graph.size)
     for c in cols:
-        row = graph.matchings[c]
-        for v in range(graph.size):
-            a, b = find(v), find(row[v])
-            if a != b:
-                if a < b:
-                    parent[b] = a
-                else:
-                    parent[a] = b
-    return Partition([find(v) for v in range(graph.size)])
+        part = join(part, graph.matchings[c])
+    return part
 
 
 def partition_meet(p: Partition, q: Partition) -> Partition:
@@ -205,14 +221,7 @@ def partition_meet(p: Partition, q: Partition) -> Partition:
         raise SizeMismatch(
             f"partitions on {p.size} and {q.size} flags cannot meet"
         )
-    seen: dict[tuple[int, int], int] = {}
-    ids = []
-    for a, b in zip(p.ids, q.ids):
-        key = (a, b)
-        if key not in seen:
-            seen[key] = len(seen)
-        ids.append(seen[key])
-    return Partition(ids, _count=len(seen))
+    return Partition(zip(p.ids, q.ids))
 
 
 def split_pair(coarse: Partition, fine: Partition) -> tuple[int, int]:

@@ -26,8 +26,8 @@ from .graphs import (
     ColouredGraph,
     Partition,
     build_graph,
-    components,
     index_in_range,
+    join,
 )
 
 
@@ -87,13 +87,13 @@ class Maniplex:
         self.graph = graph
         self.rank = graph.rank
         self.size = graph.size
-        self._parts: dict[int, Partition] = {}
+        self._parts = {0: Partition(range(self.size), _count=self.size)}
         self._faces: dict[int, tuple[Face, ...]] = {}
         self._validate()
 
     def _validate(self) -> None:
         g = self.graph
-        full = components(g, g.colours())
+        full = self._components((1 << g.rank) - 1)
         if full.block_count() > 1:
             other = next(v for v in g.flags() if not full.same_block(0, v))
             raise Disconnected(0, other)
@@ -114,51 +114,14 @@ class Maniplex:
         return self._components(mask)
 
     def _components(self, mask: int) -> Partition:
-        """Cached components over the colours in ``mask``.
-
-        They are built from the components over ``mask`` without its top
-        colour by one union pass over that colour's matching, on the block
-        ids of that finer partition.  Unions keep the smaller block id as
-        the root, and blocks are ordered by smallest flag, so numbering the
-        roots in block order keeps the ids canonical.
-        """
+        """Cached components over the colours in ``mask``: those over
+        ``mask`` without its top colour, joined along that colour's
+        matching."""
         part = self._parts.get(mask)
-        if part is not None:
-            return part
-        if not mask:
-            part = Partition(range(self.size), _count=self.size)
-        else:
+        if part is None:
             top = mask.bit_length() - 1
             prefix = self._components(mask ^ (1 << top))
-            sub = prefix.ids
-            parent = list(range(prefix.block_count()))
-            row = self.graph.matchings[top]
-            # Each edge shows up as (a, b) and as (b, a).
-            for a, b in set(zip(sub, map(sub.__getitem__, row))):
-                if a < b:
-                    while a != parent[a]:
-                        parent[a] = a = parent[parent[a]]
-                    while b != parent[b]:
-                        parent[b] = b = parent[parent[b]]
-                    if a < b:
-                        parent[b] = a
-                    elif b < a:
-                        parent[a] = b
-            new: list[int] = []
-            count = 0
-            for x, root in enumerate(parent):
-                while root != parent[root]:
-                    root = parent[root]
-                if root == x:
-                    new.append(count)
-                    count += 1
-                else:
-                    new.append(new[root])
-            if count == len(parent):  # the colour joins no two blocks
-                part = prefix
-            else:
-                part = Partition(tuple(map(new.__getitem__, sub)), _count=count)
-        self._parts[mask] = part
+            part = self._parts[mask] = join(prefix, self.graph.matchings[top])
         return part
 
     def _face_rank(self, i: int) -> int:

@@ -172,10 +172,7 @@ def check_spip(m: Maniplex) -> CheckResult:
 def beta(m: Maniplex) -> tuple[MaximalChain, ...]:
     """The flag-to-chain map: position ``v`` holds the chain through ``v``,
     read from one pass over the face ids of every rank."""
-    bottom, top = ((-1, 0),), ((m.rank, 0),)
-    return tuple(
-        MaximalChain(bottom + tuple(enumerate(t)) + top) for t in m.flag_face_ids()
-    )
+    return tuple(map(MaximalChain.through, m.flag_face_ids()))
 
 
 def flag_graph(p: InducedPoset) -> Maniplex:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InconsistentVerdicts, NotAChain, NotComparable, OutOfRange
-from .graphs import Partition, index_in_range, split_pair
+from .graphs import Partition, index_in_range, join, split_pair
 from .maniplex import Face, Maniplex
 
 Ref = tuple[int, int]
@@ -40,6 +40,11 @@ class MaximalChain:
     """One face per rank from ``-1`` to ``n``, as ``(rank, index)`` refs."""
 
     faces: tuple[Ref, ...]
+
+    @classmethod
+    def through(cls, ids: Sequence[int]) -> "MaximalChain":
+        """The chain through face ``ids[r]`` at each proper rank ``r``."""
+        return cls(((-1, 0),) + tuple(enumerate(ids)) + ((len(ids), 0),))
 
     @property
     def proper(self) -> tuple[Ref, ...]:
@@ -147,14 +152,7 @@ class InducedPoset:
         return self._chains
 
     def maximal_chains(self) -> tuple[MaximalChain, ...]:
-        return tuple(
-            MaximalChain(
-                ((-1, 0),)
-                + tuple((r, k) for r, k in enumerate(ct))
-                + ((self.n, 0),)
-            )
-            for ct in self._chain_tuples()
-        )
+        return tuple(map(MaximalChain.through, self._chain_tuples()))
 
     def report(self) -> PosetReport:
         if self._report is None:
@@ -290,10 +288,8 @@ def section(p: InducedPoset, a: Ref, b: Ref) -> InducedPoset:
 def chain_of_flag(m: Maniplex, flag: int) -> MaximalChain:
     """The faces through one flag, one per rank, with the improper ends."""
     flag = m.graph.check_flag(flag)
-    return MaximalChain(
-        ((-1, 0),)
-        + tuple((i, m.face_partition(i).ids[flag]) for i in range(m.rank))
-        + ((m.rank, 0),)
+    return MaximalChain.through(
+        [m.face_partition(i).ids[flag] for i in range(m.rank)]
     )
 
 
@@ -361,12 +357,12 @@ def strong_flag_connectivity(p: InducedPoset) -> CheckResult:
     A chain through two faces varies freely below, between and above them,
     so the condition holds exactly when, for every rank interval ``a..b``
     with ``a < b``, the chains that agree outside ``a..b`` are connected by
-    steps changing one face inside it.  For each ``a`` one union-find grows
-    with ``b`` by joining the chains equal except at rank ``b``; its
-    components refine the classes of chains agreeing outside ``a..b``, so
-    equal block counts decide the interval.  The witness is the first
-    failing chain pair in lex order: the least first split pair of a
-    failing interval.
+    steps changing one face inside it.  For each ``a`` one partition of the
+    chains grows with ``b`` by joining the chains equal except at rank
+    ``b``; its blocks refine the classes of chains agreeing outside
+    ``a..b``, so equal block counts decide the interval.  The witness is
+    the first failing chain pair in lex order: the least first split pair
+    of a failing interval.
     """
     chains = p._chain_tuples()
     # rep[b][t]: the first chain equal to chain t except at rank b
@@ -376,27 +372,14 @@ def strong_flag_connectivity(p: InducedPoset) -> CheckResult:
         keys = (ch[:b] + ch[b + 1 :] for ch in chains)
         rep.append([first.setdefault(k, t) for t, k in enumerate(keys)])
     pairs: list[tuple[int, int]] = []
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    discrete = Partition(range(len(chains)), _count=len(chains))
     for a in range(p.n - 1):
-        parent = list(range(len(chains)))
-        blocks = len(chains)
-        for b in range(a, p.n):
-            for t, s in enumerate(rep[b]):
-                u, v = find(t), find(s)
-                if u != v:
-                    parent[u] = v
-                    blocks -= 1
-            if b > a:
-                classes = Partition([ch[:a] + ch[b + 1 :] for ch in chains])
-                if classes.block_count() != blocks:
-                    comps = Partition([find(t) for t in range(len(chains))])
-                    pairs.append(split_pair(classes, comps))
+        comps = join(discrete, rep[a])
+        for b in range(a + 1, p.n):
+            comps = join(comps, rep[b])
+            classes = Partition([ch[:a] + ch[b + 1 :] for ch in chains])
+            if classes.block_count() != comps.block_count():
+                pairs.append(split_pair(classes, comps))
     if not pairs:
         return CheckResult(True)
     t1, t2 = min(pairs)

@@ -1,6 +1,8 @@
 """Reference implementations the suite checks the library against.
 
-None of these is part of the package.  ``check_cip_via_chains``,
+None of these is part of the package.  ``components`` is the package's
+former union-find over all of a colour set's matchings, kept verbatim as the
+reference for every partition built by ``graphs.join``.  ``check_cip_via_chains``,
 ``faithful_by_chain_count`` and ``faithful_by_enumeration`` are independent
 oracles for the intersection property and faithfulness, and ``is_faithful``
 is the meet-based faithfulness check the library used to run, kept to pin
@@ -24,14 +26,16 @@ witness.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Optional
+from typing import Iterable, Optional
 
 from maniplexes import (
     CheckResult,
     CipWitness,
+    ColouredGraph,
     InducedPoset,
     Maniplex,
     MaximalChain,
+    Partition,
     SpipWitness,
     WindowWitness,
     WpipResult,
@@ -42,7 +46,33 @@ from maniplexes import (
     meet_all,
     partition_meet,
 )
-from maniplexes.graphs import split_pair
+from maniplexes.errors import OutOfRange
+from maniplexes.graphs import index_in_range, split_pair
+
+
+def components(graph: ColouredGraph, colours: Iterable[int]) -> Partition:
+    """Connected components of the subgraph using only ``colours`` edges."""
+    cols = sorted(
+        {index_in_range(c, graph.rank, OutOfRange, "colour") for c in colours}
+    )
+    parent = list(range(graph.size))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for c in cols:
+        row = graph.matchings[c]
+        for v in range(graph.size):
+            a, b = find(v), find(row[v])
+            if a != b:
+                if a < b:
+                    parent[b] = a
+                else:
+                    parent[a] = b
+    return Partition([find(v) for v in range(graph.size)])
 
 
 def check_cip_via_chains(

@@ -146,6 +146,22 @@ def test_gen_bad_parameter_exits_two():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("polygon", "--p", "3", "--d", "9", "--b", "4", "--seed", "7"),
+        ("klein44", "--p", "3"),
+        ("cube", "--v1", "1,1,0"),
+        ("rect3torus", "--rank", "3"),
+    ],
+)
+def test_gen_refuses_a_flag_of_another_family(args):
+    r = run("gen", *args, "-o", "-")
+    assert r.returncode == 64
+    assert "unrecognized arguments" in r.stderr
+    assert r.stdout == ""
+
+
 # -- poset / dot --------------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from maniplexes import (
+    ColouredGraph,
     Partition,
     are_isomorphic,
     build_graph,
@@ -28,6 +29,8 @@ from maniplexes.errors import (
     OutOfRange,
     SizeMismatch,
 )
+from maniplexes.graphs import join
+import oracles
 
 
 # -- build_graph validation ----------------------------------------------------
@@ -164,6 +167,22 @@ def test_partition_value_equality_is_canonical():
 
 
 # -- partition laws (property-based) -------------------------------------------
+
+
+@given(st.data())
+def test_join_folds_match_the_union_find_oracle(data):
+    """Folding ``join`` over arbitrary maps on the flags, not only
+    involutions, gives the oracle's components id for id."""
+    size = data.draw(st.integers(1, 12))
+    rows = data.draw(
+        st.lists(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
+    )
+    graph = ColouredGraph(len(rows), size, tuple(map(tuple, rows)))
+    part = Partition(range(size), _count=size)
+    for row in rows:
+        part = join(part, row)
+    want = oracles.components(graph, range(len(rows)))
+    assert (part.ids, part.block_count()) == (want.ids, want.block_count())
 
 
 @st.composite

@@ -10,7 +10,6 @@ from maniplexes import (
     Maniplex,
     bitflip,
     build_graph,
-    components,
     hypercube,
     make_path,
     normalize_path,
@@ -27,6 +26,7 @@ from maniplexes.errors import (
     RankOutOfRange,
 )
 from conftest import ODDBALL8_ROWS, oddball8, relabelled
+from oracles import components
 
 
 # -- validation -----------------------------------------------------------------
@@ -138,7 +138,8 @@ def test_components_of_rejects_a_non_integer_colour():
 
 def test_partitions_from_cached_prefixes_equal_graph_components(all_fixtures, corpus):
     """Each colour mask's partition, built from the mask without its top
-    colour, equals a union-find over all of its colours, id for id."""
+    colour, equals the oracle's union-find over all of its colours, id for
+    id."""
     inputs = list(all_fixtures.values()) + [s.maniplex for s in corpus]
     inputs += [bitflip(n) for n in range(2, 9)]
     inputs += [relabelled(m, seed) for seed, m in enumerate(inputs)]
