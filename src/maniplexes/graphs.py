@@ -6,7 +6,8 @@ colour ``c`` in ``range(n)`` an array ``m[c]`` with ``m[c][v]`` the unique
 fixed-point-free involutions and no two colours agree at any flag.
 
 This module knows nothing about maniplexes; it provides the graph container,
-component partitions, partition meets and colour-preserving isomorphism.
+component partitions grown by the one union-find :func:`join`, partition
+meets and colour-preserving isomorphism.
 """
 
 from __future__ import annotations
@@ -172,8 +173,8 @@ class Partition:
 
 
 def join(part: Partition, row: Sequence[int]) -> Partition:
-    """``part`` with the blocks of ``v`` and ``row[v]`` merged for every flag
-    ``v``; ``part`` itself when nothing merges.
+    """``part`` with the blocks of ``v`` and ``row[v]`` merged for every
+    ``v`` in ``range(part.size)``; ``part`` itself when nothing merges.
 
     The union runs on block ids and keeps the smaller id as the root.  Blocks
     are ordered by smallest flag, so numbering the roots in block order keeps

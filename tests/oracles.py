@@ -2,9 +2,10 @@
 
 None of these is part of the package.  ``components`` is the package's
 former union-find over all of a colour set's matchings, kept verbatim as the
-reference for every partition built by ``graphs.join``.  ``check_cip_via_chains``,
-``faithful_by_chain_count`` and ``faithful_by_enumeration`` are independent
-oracles for the intersection property and faithfulness, and ``is_faithful``
+reference for every partition built by ``graphs.join``.
+``check_cip_via_chains``, ``faithful_by_chain_count`` and
+``faithful_by_enumeration`` are independent oracles for the intersection
+property and faithfulness, and ``is_faithful``
 is the meet-based faithfulness check the library used to run, kept to pin
 its verdict and witness.  ``leq``,
 ``diamond`` and ``uniform_chain_length`` restate the poset order as the
