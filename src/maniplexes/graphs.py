@@ -7,7 +7,8 @@ fixed-point-free involutions and no two colours agree at any flag.
 
 This module knows nothing about maniplexes; it provides the graph container,
 component partitions grown by the one union-find :func:`join`, partition
-meets and colour-preserving isomorphism.
+meets, and the one anchor search, :func:`extensions`, behind
+colour-preserving isomorphisms and coverings.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
-    DisconnectedInput,
     FixedPoint,
     InconsistentVerdicts,
     ManiplexError,
@@ -257,27 +257,66 @@ def are_isomorphic(
 ) -> Optional[tuple[int, ...]]:
     """A colour-preserving isomorphism ``g -> h`` as a flag map, or None.
 
-    Both graphs must be connected (an isomorphism is determined by the image
-    of one flag, so we try every anchor in ``h`` for flag 0 of ``g``).
+    Both graphs must be connected, as the graph of every :class:`Maniplex`
+    is; this is not re-checked.  A connected ``g`` makes the map determined
+    by the image of flag 0, so the anchors of :func:`extensions` are tried
+    in turn.  A returned map is total, colour-preserving and bijective, so
+    it is an isomorphism even when the precondition fails.
     """
-    if g.rank != h.rank:
+    if g.rank != h.rank or g.size != h.size:
         return None
-    if g.size != h.size:
-        return None
-    if not is_connected(g) or not is_connected(h):
-        raise DisconnectedInput("isomorphism search requires connected graphs")
-    for anchor in range(h.size):
-        phi = _propagate(g, h, anchor)
-        if phi is not None and len(set(phi)) == g.size:
+    for phi in extensions(g, h, operator.eq):
+        if len(set(phi)) == g.size:
             return phi
     return None
+
+
+def extensions(
+    g: ColouredGraph, h: ColouredGraph, fits: Callable[[int, int], bool]
+) -> Iterator[tuple[int, ...]]:
+    """Every total colour-preserving map ``g -> h``, by ascending image of
+    flag 0, over the anchors whose Petrie cycle length ``fits``.
+
+    The Petrie word is ``0 1 ... n-1``.  A colour-preserving map commutes
+    with it, so it maps the word's cycle through flag 0 of ``g``, of length
+    ``L``, onto the cycle through the anchor, of length ``l``: an isomorphism
+    needs ``l == L``, a covering ``l`` dividing ``L``.  An anchor is
+    skipped unless ``fits(L, l)``.  Anchor 0 is tried before any cycle is
+    walked; the target's cycles are walked once each, on demand.
+    """
+    phi = _propagate(g, h, 0)
+    if phi is not None:
+        yield phi
+    length = len(_petrie_cycle(g, 0))
+    lengths = [0] * h.size
+    for anchor in range(1, h.size):
+        if not lengths[anchor]:
+            cycle = _petrie_cycle(h, anchor)
+            for v in cycle:
+                lengths[v] = len(cycle)
+        if fits(length, lengths[anchor]):
+            phi = _propagate(g, h, anchor)
+            if phi is not None:
+                yield phi
+
+
+def _petrie_cycle(g: ColouredGraph, v: int) -> list[int]:
+    """The cycle through ``v`` of the colour word ``0 1 ... n-1``."""
+    cycle: list[int] = []
+    w = v
+    while True:
+        cycle.append(w)
+        for row in g.matchings:
+            w = row[w]
+        if w == v:
+            return cycle
 
 
 def _propagate(
     g: ColouredGraph, h: ColouredGraph, anchor: int
 ) -> Optional[tuple[int, ...]]:
-    """The colour-preserving map extending ``0 -> anchor`` over a connected
-    ``g``, or None on any conflict."""
+    """The colour-preserving map extending ``0 -> anchor``, or None on any
+    conflict or when a flag of ``g`` is out of reach of flag 0."""
     phi = [-1] * g.size
     phi[0] = anchor
     stack = [0]
@@ -291,4 +330,6 @@ def _propagate(
                 stack.append(w)
             elif phi[w] != img:
                 return None
+    if -1 in phi:
+        return None
     return tuple(phi)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InconsistentVerdicts, OutOfRange, RankMismatch
-from .graphs import _propagate, build_graph, index_in_range
+from .graphs import build_graph, extensions, index_in_range
 from .maniplex import Maniplex
 
 
@@ -81,16 +81,21 @@ def is_covering(m: Maniplex, n: Maniplex, phi: tuple[int, ...]) -> bool:
 def find_covering(m: Maniplex, n: Maniplex) -> Optional[CoveringMap]:
     """The first covering of N by M in anchor order, or ``None``.
 
-    Tries each flag of N as the image of flag 0 of M and propagates along
-    colours; connectivity makes the extension unique, and a consistent
-    image is automatically all of N.
+    Tries flags of N as the image of flag 0 of M (see
+    :func:`~maniplexes.graphs.extensions`) and propagates along colours;
+    connectivity makes the extension unique, and a consistent image is
+    automatically all of N.  Each colour maps the fibre of a flag one-to-one
+    onto the fibre of its neighbour, so fibres have one size and N's size
+    must divide M's.
     """
-    if m.rank != n.rank:
+    if m.rank != n.rank or m.size % n.size:
         return None
-    for anchor in range(n.size):
-        phi = _propagate(m.graph, n.graph, anchor)
-        if phi is not None:
-            if not is_covering(m, n, phi):
-                raise InconsistentVerdicts("a consistent extension must cover")
-            return CoveringMap(phi)
+    for phi in extensions(m.graph, n.graph, _divides):
+        if not is_covering(m, n, phi):
+            raise InconsistentVerdicts("a consistent extension must cover")
+        return CoveringMap(phi)
     return None
+
+
+def _divides(length: int, image_length: int) -> bool:
+    return length % image_length == 0

@@ -21,7 +21,10 @@ ends, one keyed pass per interior position.  ``check_cip``, ``check_wpip``
 and ``check_spip`` are the three partition criteria as separate
 meet-and-compare loops: CIP meets all ``|S|`` single-colour-removed
 partitions of each subset, and SPIP above rank 6 translates the interval
-witness.
+witness.  ``are_isomorphic`` and ``find_covering`` are the library's former
+searches, kept verbatim: every flag of the target is tried as the image of
+flag 0, in ascending order, with no pruning, and ``are_isomorphic`` checks
+that both graphs are connected.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from maniplexes import (
     CheckResult,
     CipWitness,
     ColouredGraph,
+    CoveringMap,
     InducedPoset,
     Maniplex,
     MaximalChain,
@@ -44,10 +48,12 @@ from maniplexes import (
     chain_intersection,
     chain_of_flag,
     induced_poset,
+    is_connected,
+    is_covering,
     meet_all,
     partition_meet,
 )
-from maniplexes.errors import OutOfRange
+from maniplexes.errors import DisconnectedInput, InconsistentVerdicts, OutOfRange
 from maniplexes.graphs import index_in_range, split_pair
 
 
@@ -397,3 +403,63 @@ def check_spip(m: Maniplex) -> CheckResult:
                 a, b = split_pair(met, target)
                 return CheckResult(False, SpipWitness(bits(am), bits(bm), a, b))
     return CheckResult(True)
+
+
+def are_isomorphic(
+    g: ColouredGraph, h: ColouredGraph
+) -> Optional[tuple[int, ...]]:
+    """A colour-preserving isomorphism ``g -> h`` as a flag map, or None.
+
+    Both graphs must be connected (an isomorphism is determined by the image
+    of one flag, so we try every anchor in ``h`` for flag 0 of ``g``).
+    """
+    if g.rank != h.rank:
+        return None
+    if g.size != h.size:
+        return None
+    if not is_connected(g) or not is_connected(h):
+        raise DisconnectedInput("isomorphism search requires connected graphs")
+    for anchor in range(h.size):
+        phi = _propagate(g, h, anchor)
+        if phi is not None and len(set(phi)) == g.size:
+            return phi
+    return None
+
+
+def find_covering(m: Maniplex, n: Maniplex) -> Optional[CoveringMap]:
+    """The first covering of N by M in anchor order, or ``None``.
+
+    Tries each flag of N as the image of flag 0 of M and propagates along
+    colours; connectivity makes the extension unique, and a consistent
+    image is automatically all of N.
+    """
+    if m.rank != n.rank:
+        return None
+    for anchor in range(n.size):
+        phi = _propagate(m.graph, n.graph, anchor)
+        if phi is not None:
+            if not is_covering(m, n, phi):
+                raise InconsistentVerdicts("a consistent extension must cover")
+            return CoveringMap(phi)
+    return None
+
+
+def _propagate(
+    g: ColouredGraph, h: ColouredGraph, anchor: int
+) -> Optional[tuple[int, ...]]:
+    """The colour-preserving map extending ``0 -> anchor`` over a connected
+    ``g``, or None on any conflict."""
+    phi = [-1] * g.size
+    phi[0] = anchor
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for c in range(g.rank):
+            w = g.matchings[c][v]
+            img = h.matchings[c][phi[v]]
+            if phi[w] == -1:
+                phi[w] = img
+                stack.append(w)
+            elif phi[w] != img:
+                return None
+    return tuple(phi)

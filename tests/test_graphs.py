@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 
 import pytest
@@ -29,7 +30,7 @@ from maniplexes.errors import (
     OutOfRange,
     SizeMismatch,
 )
-from maniplexes.graphs import join
+from maniplexes.graphs import extensions, join
 import oracles
 
 
@@ -276,6 +277,27 @@ def test_hexagon_vs_octagon_not_isomorphic():
 
 def test_klein_vs_torus_not_isomorphic():
     assert are_isomorphic(klein_44().graph, torus_44(1, 0).graph) is None
+
+
+def _two_hexagons() -> ColouredGraph:
+    """Two disjoint copies of the triangle's 6-flag graph: 12 flags, rank 2."""
+    rows = polygon(3).graph.matchings
+    return build_graph(2, [list(r) + [w + 6 for w in r] for r in rows])
+
+
+def test_isomorphism_search_never_returns_a_partial_or_folded_map():
+    # Connectivity is a precondition the search does not re-check; on a
+    # disconnected input it may miss an isomorphism but returns no map that
+    # is not one.
+    two, dodecagon = _two_hexagons(), polygon(6).graph
+    assert not is_connected(two) and dodecagon.size == two.size
+    assert list(extensions(two, two, operator.eq)) == []
+    assert are_isomorphic(two, two) is None
+    assert are_isomorphic(two, dodecagon) is None
+    # 2-to-1 onto either hexagon: total and colour-preserving, not bijective
+    folds = list(extensions(dodecagon, two, lambda length, image_length: True))
+    assert len(folds) == 12 and all(len(set(phi)) == 6 for phi in folds)
+    assert are_isomorphic(dodecagon, two) is None
 
 
 def test_isomorphism_witness_is_equivariant_bijection():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+from itertools import product
 
 import pytest
 
@@ -18,6 +19,8 @@ from maniplexes import (
     torus_44,
 )
 from maniplexes.errors import InconsistentVerdicts, OutOfRange, RankMismatch
+import oracles
+from conftest import relabelled
 
 # frozen (a, b, |a|, |b|, |a mix b|) table
 MIX_SIZES = [
@@ -140,6 +143,50 @@ def test_no_covering_onto_a_larger_maniplex():
 
 def test_no_covering_between_incompatible_quotients():
     assert find_covering(torus_44(1, 0), torus_44(1, 1)) is None
+
+
+def test_no_covering_when_the_sizes_do_not_divide(monkeypatch):
+    # fibres of a covering all have one size; no anchor is tried
+    mix_module = importlib.import_module("maniplexes.mix")
+    monkeypatch.setattr(mix_module, "extensions", None)
+    assert find_covering(torus_44(2, 1), torus_44(1, 1)) is None
+
+
+def test_no_covering_although_the_sizes_divide():
+    t30, k = torus_44(3, 0), klein_44()
+    assert t30.size % k.size == 0
+    assert find_covering(t30, k) is None
+    assert oracles.find_covering(t30, k) is None
+
+
+def test_searches_match_the_unpruned_oracles(all_fixtures, corpus):
+    """Pruned anchors never change a map or a ``None``: equal-rank pairs of
+    fixtures and of corpus samples, relabelled copies both ways, and mixes
+    through two base pairs against their factors and a relabelled factor."""
+    named = list(all_fixtures.items())
+    small = [(a, m) for a, m in named if m.size <= 64]
+    by_rank = {}
+    for s in corpus:
+        by_rank.setdefault(s.maniplex.rank, []).append((s.seed, s.maniplex))
+    pairs = list(product(named, repeat=2))
+    mixed = list(product([x for x in small if x[1].size <= 32], repeat=2))
+    for samples in by_rank.values():
+        pairs += product(samples[:25], repeat=2)
+        mixed += zip(samples[:20], samples[1:21])
+    for a, m in small + [(s.seed, s.maniplex) for s in corpus[:200]]:
+        r = (f"{a} relabelled", relabelled(m, 1))
+        pairs += [((a, m), r), (r, (a, m))]
+    for (a, m), (b, n) in mixed:
+        if m.rank == n.rank:
+            for bases in ((0, 0), (m.size - 1, n.size // 2)):
+                mx = (f"{a} mix {b} at {bases}", mix(m, n, *bases))
+                factors = [(a, m), (b, n), (f"{b} relabelled", relabelled(n, 2))]
+                pairs += [(mx, f) for f in factors]
+    for (a, m), (b, n) in pairs:
+        if m.rank == n.rank:
+            g, h = m.graph, n.graph
+            assert are_isomorphic(g, h) == oracles.are_isomorphic(g, h), (a, b)
+            assert find_covering(m, n) == oracles.find_covering(m, n), (a, b)
 
 
 def test_is_covering_rejects_a_broken_map():
