@@ -257,10 +257,9 @@ def are_isomorphic(
 ) -> Optional[tuple[int, ...]]:
     """A colour-preserving isomorphism ``g -> h`` as a flag map, or None.
 
-    Both graphs must be connected, as the graph of every :class:`Maniplex`
-    is; this is not re-checked.  A connected ``g`` makes the map determined
-    by the image of flag 0, so the anchors of :func:`extensions` are tried
-    in turn.  A returned map is total, colour-preserving and bijective, so
+    Both graphs must be connected, as the graph of every maniplex is; this
+    is not re-checked.  A connected ``g`` makes the map determined by the
+    image of flag 0, so the anchors of :func:`extensions` are tried in turn.  A returned map is total, colour-preserving and bijective, so
     it is an isomorphism even when the precondition fails.
     """
     if g.rank != h.rank or g.size != h.size:
