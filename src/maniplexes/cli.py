@@ -79,7 +79,9 @@ def _cmd_check(args) -> int:
     if args.json:
         sys.stdout.write(write_json(m, report))
     else:
-        counts = " ".join(str(len(m.faces(i))) for i in range(m.rank))
+        counts = " ".join(
+            str(m.face_partition(i).block_count()) for i in range(m.rank)
+        )
         print(f"rank {m.rank}, {m.size} flags, faces per rank: {counts}")
         cip = report.cip
         if cip.holds:

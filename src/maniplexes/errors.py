@@ -99,6 +99,10 @@ class NotComparable(ManiplexError):
     """Two poset elements are not comparable where comparability is required."""
 
 
+class NoFlagSets(ManiplexError):
+    """A poset built without a maniplex was asked for a flag set."""
+
+
 class NotAPolytope(ManiplexError):
     """A poset operation that requires polytopality found a violation."""
 

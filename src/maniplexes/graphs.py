@@ -257,10 +257,10 @@ def are_isomorphic(
 ) -> Optional[tuple[int, ...]]:
     """A colour-preserving isomorphism ``g -> h`` as a flag map, or None.
 
-    Both graphs must be connected, as the graph of every maniplex is; this
-    is not re-checked.  A connected ``g`` makes the map determined by the
-    image of flag 0, so the anchors of :func:`extensions` are tried in turn.  A returned map is total, colour-preserving and bijective, so
-    it is an isomorphism even when the precondition fails.
+    Both graphs must be connected, as every maniplex graph is; this is not
+    re-checked.  Flag 0 of a connected ``g`` fixes the map, so the anchors
+    of :func:`extensions` are tried in turn.  A returned map is total,
+    colour-preserving and bijective: an isomorphism even without connectivity.
     """
     if g.rank != h.rank or g.size != h.size:
         return None

@@ -104,11 +104,11 @@ def poset_dot(p: InducedPoset) -> str:
 
     lines = ["digraph poset {", "  rankdir=BT;"]
     lines.append(f'  {node(-1, 0)} [label="bottom"];')
-    for r, level in enumerate(p.level_flags):
-        for k in range(len(level)):
+    counts = p.counts()
+    for r, count in enumerate(counts):
+        for k in range(count):
             lines.append(f'  {node(r, k)} [label="{r}:{k}"];')
     lines.append(f'  {node(p.n, 0)} [label="top"];')
-    counts = p.counts()
     for k in range(counts[0] if p.n > 0 else 0):
         lines.append(f"  {node(-1, 0)} -> {node(0, k)};")
     for r in range(p.n - 1):
@@ -130,10 +130,6 @@ def _plain(value: Any) -> Any:
         }
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(_plain(v) for v in value)
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
     return value
 
 
@@ -144,7 +140,7 @@ def report_to_dict(m: Maniplex, report: PolytopalityReport) -> dict[str, Any]:
         "schema": "maniplex-report/1",
         "rank": m.rank,
         "flags": m.size,
-        "face_counts": [len(m.faces(i)) for i in range(m.rank)],
+        "face_counts": [m.face_partition(i).block_count() for i in range(m.rank)],
         "cip": _plain(report.cip),
         "wpip": _plain(report.wpip),
         "spip": _plain(report.spip),

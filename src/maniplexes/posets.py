@@ -16,7 +16,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import InconsistentVerdicts, NotAChain, NotComparable, OutOfRange
+from .errors import InconsistentVerdicts, NoFlagSets, NotAChain, NotComparable
+from .errors import OutOfRange
 from .graphs import Partition, index_in_range, join, split_pair
 from .maniplex import Face, Maniplex
 
@@ -65,26 +66,21 @@ class PosetReport:
 
 
 class InducedPoset:
-    """A ranked bounded poset whose proper elements carry flag sets.
+    """A ranked bounded poset held as its incidences.
 
-    ``level_flags[r][k]`` is the flag set of element ``(r, k)``; ``universe``
-    is the flag set of both improper elements.  The order lives in one
-    incidence table: for proper ranks ``r < s``, ``up[r][s][k]`` lists, in
-    ascending order, the rank-``s`` indices above ``(r, k)`` (entries with
-    ``s <= r`` are empty).  Improper elements bound everything.
+    ``counts()[r]`` is the number of rank-``r`` elements.  The order lives in
+    one incidence table: for proper ranks ``r < s``, ``up[r][s][k]`` lists,
+    in ascending order, the rank-``s`` indices above ``(r, k)`` (entries
+    with ``s <= r`` are empty).  Improper elements bound everything.  Flag
+    sets are derived on request from ``source``: the maniplex the poset was
+    induced from or, for a section, the ``(poset, a, b, kept)`` it was cut
+    from, ``kept[r]`` listing that poset's indices of the rank-``r``
+    elements.  A poset with no source has no flag sets.
     """
 
-    def __init__(
-        self,
-        n: int,
-        level_flags: Iterable[Iterable[frozenset[int]]],
-        universe: frozenset[int],
-        up: Table,
-        source: Optional[Maniplex] = None,
-    ):
+    def __init__(self, n: int, counts: Iterable[int], up: Table, source=None):
         self.n = n
-        self.level_flags = tuple(tuple(level) for level in level_flags)
-        self.universe = frozenset(universe)
+        self._counts = tuple(counts)
         self.up = up
         self.source = source
         self._chains: Optional[tuple[tuple[int, ...], ...]] = None
@@ -93,13 +89,13 @@ class InducedPoset:
     # -- basic structure ------------------------------------------------------
 
     def counts(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self.level_flags)
+        return self._counts
 
     def refs(self, include_improper: bool = False) -> Iterator[Ref]:
         if include_improper:
             yield (-1, 0)
-        for r, level in enumerate(self.level_flags):
-            for k in range(len(level)):
+        for r, count in enumerate(self._counts):
+            for k in range(count):
                 yield (r, k)
         if include_improper:
             yield (self.n, 0)
@@ -111,14 +107,28 @@ class InducedPoset:
         except (TypeError, ValueError):
             raise OutOfRange(f"face {ref!r} is not a (rank, index) pair") from None
         r = index_in_range(r, self.n + 1, OutOfRange, "rank", start=-1)
-        faces = 1 if r in (-1, self.n) else len(self.level_flags[r])
+        faces = 1 if r in (-1, self.n) else self._counts[r]
         return r, index_in_range(k, faces, OutOfRange, f"rank {r} face")
 
     def flags_of(self, ref: Ref) -> frozenset[int]:
         r, k = self._check_ref(ref)
-        if r == -1 or r == self.n:
-            return self.universe
-        return self.level_flags[r][k]
+        improper = r == -1 or r == self.n
+        src = self.source
+        if src is None:
+            raise NoFlagSets("a poset built without a maniplex has no flag sets")
+        if isinstance(src, Maniplex):
+            if improper:
+                return frozenset(range(src.size))
+            return frozenset(src.face_partition(r).blocks()[k])
+        parent, a, b, kept = src
+        if improper:
+            return parent.flags_of(a) & parent.flags_of(b)
+        return parent.flags_of((a[0] + 1 + r, kept[r][k]))
+
+    @property
+    def universe(self) -> frozenset[int]:
+        """The flag set of both improper elements."""
+        return self.flags_of((-1, 0))
 
     def leq(self, a: Ref, b: Ref) -> bool:
         """Order relation: equal, or lower rank and incident."""
@@ -128,15 +138,10 @@ class InducedPoset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InducedPoset):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.level_flags == other.level_flags
-            and self.universe == other.universe
-            and self.up == other.up
-        )
+        return (self.n, self._counts, self.up) == (other.n, other._counts, other.up)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.level_flags, self.universe, self.up))
+        return hash((self.n, self._counts, self.up))
 
     # -- chains ---------------------------------------------------------------
 
@@ -144,7 +149,7 @@ class InducedPoset:
         """All maximal chains as per-rank face indices, in lex order."""
         if self._chains is None:
             n = self.n
-            chains = [(k,) for k in range(len(self.level_flags[0]))] if n > 0 else [()]
+            chains = [(k,) for k in range(self._counts[0])] if n > 0 else [()]
             for r in range(n - 1):
                 ups = self.up[r][r + 1]
                 chains = [ch + (k,) for ch in chains for k in ups[ch[-1]]]
@@ -168,7 +173,7 @@ def _above(p: InducedPoset, ref: Ref, s: int) -> Sequence[int]:
     if s == p.n:
         return range(1)
     if r == -1:
-        return range(len(p.level_flags[s]))
+        return range(p.counts()[s])
     return p.up[r][s][k]
 
 
@@ -181,18 +186,17 @@ def induced_poset(m: Maniplex) -> InducedPoset:
     yields the incidence table.
     """
     n = m.rank
-    ids = [m.face_partition(i).ids for i in range(n)]
-    level_flags = tuple(tuple(f.flags for f in m.faces(i)) for i in range(n))
+    parts = [m.face_partition(i) for i in range(n)]
     up = []
     for r in range(n):
         row: list[tuple[tuple[int, ...], ...]] = [()] * n
         for s in range(r + 1, n):
-            acc: list[list[int]] = [[] for _ in level_flags[r]]
-            for k, l in sorted(set(zip(ids[r], ids[s]))):
+            acc: list[list[int]] = [[] for _ in range(parts[r].block_count())]
+            for k, l in sorted(set(zip(parts[r].ids, parts[s].ids))):
                 acc[k].append(l)
             row[s] = tuple(map(tuple, acc))
         up.append(tuple(row))
-    return InducedPoset(n, level_flags, frozenset(range(m.size)), tuple(up), m)
+    return InducedPoset(n, [part.block_count() for part in parts], tuple(up), m)
 
 
 def maximal_chains(p: InducedPoset) -> tuple[MaximalChain, ...]:
@@ -238,7 +242,7 @@ def all_chains(p: InducedPoset) -> Iterator[tuple[Ref, ...]]:
 
     def rec(next_rank: int) -> Iterator[tuple[Ref, ...]]:
         for r in range(next_rank, p.n):
-            for k in range(len(p.level_flags[r])):
+            for k in range(p.counts()[r]):
                 if all(k in p.up[q][r][j] for q, j in chosen):
                     chosen.append((r, k))
                     yield tuple(chosen)
@@ -251,8 +255,8 @@ def all_chains(p: InducedPoset) -> Iterator[tuple[Ref, ...]]:
 def section(p: InducedPoset, a: Ref, b: Ref) -> InducedPoset:
     """The interval ``{h : a <= h <= b}`` re-ranked with ``a, b`` improper.
 
-    Levels and incidences are the ambient ones, re-indexed in ascending
-    order, so a section keeps the ambient order.
+    Incidences are the ambient ones, re-indexed in ascending order, so a
+    section keeps the ambient order; its flag sets are derived through ``p``.
     """
     a, b = p._check_ref(a), p._check_ref(b)
     if a == b or not p.leq(a, b):
@@ -272,14 +276,7 @@ def section(p: InducedPoset, a: Ref, b: Ref) -> InducedPoset:
         )
         for r, ks in zip(ranks, kept)
     )
-    return InducedPoset(
-        n=b[0] - a[0] - 1,
-        level_flags=[
-            [p.level_flags[r][k] for k in ks] for r, ks in zip(ranks, kept)
-        ],
-        universe=p.flags_of(a) & p.flags_of(b),
-        up=up,
-    )
+    return InducedPoset(b[0] - a[0] - 1, map(len, kept), up, (p, a, b, kept))
 
 
 # -- faithfulness -------------------------------------------------------------
@@ -339,7 +336,7 @@ def diamond(p: InducedPoset) -> CheckResult:
     between them.  The witness is the first ``(E, F, count)`` violation.
     """
     for i in range(p.n):
-        for k in range(len(p.level_flags[i - 1]) if i > 0 else 1):
+        for k in range(p.counts()[i - 1] if i > 0 else 1):
             e = (i - 1, k)
             between = Counter(
                 l for g in _above(p, e, i) for l in _above(p, (i, g), i + 1)
@@ -391,7 +388,7 @@ def _build_report(p: InducedPoset) -> PosetReport:
     uniform = uniform_chain_length(p)
     dia = diamond(p)
     sfc = strong_flag_connectivity(p)
-    faithful = is_faithful(p.source) if p.source is not None else None
+    faithful = is_faithful(p.source) if isinstance(p.source, Maniplex) else None
     return PosetReport(
         is_ranked_bounded=True,
         uniform_chain_length=uniform,
@@ -443,7 +440,7 @@ def poset_isomorphic(
         if pos == len(p_refs):
             return True
         a = p_refs[pos]
-        for k in range(len(q.level_flags[a[0]])):
+        for k in range(q.counts()[a[0]]):
             b = (a[0], k)
             if b in used or q_prof[b] != p_prof[a]:
                 continue

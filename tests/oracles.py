@@ -7,11 +7,15 @@ reference for every partition built by ``graphs.join``.
 ``faithful_by_enumeration`` are independent oracles for the intersection
 property and faithfulness, and ``is_faithful``
 is the meet-based faithfulness check the library used to run, kept to pin
-its verdict and witness.  ``leq``,
-``diamond`` and ``uniform_chain_length`` restate the poset order as the
-paper defines it, rank plus nonempty flag-set intersection, and the two
-checks as plain loops over that relation, with the library's scan order
-and witnesses; they are slow and only meant for comparison.
+its verdict and witness.  ``FlagSets`` holds a poset as the paper states
+it, one flag set per element: ``FlagSets.of_maniplex`` finds the faces with
+``components`` alone and ``FlagSets.section`` keeps the elements between two
+faces by ``leq``.  ``leq``, ``diamond`` and ``uniform_chain_length`` restate
+the poset order as the paper defines it, rank plus nonempty flag-set
+intersection, and the two checks as plain loops over that relation, with
+the library's scan order and witnesses; they are slow and only meant for
+comparison.  They read only ``n``, ``counts()`` and ``flags_of``, so they
+run on a ``FlagSets`` or on an :class:`InducedPoset` alike.
 ``strong_flag_connectivity`` is the definition's own scan: one union-find
 per subset of ranks, then every chain pair judged in the group of the ranks
 where the two agree.  ``strong_flag_connectivity_by_spans`` is the
@@ -147,6 +151,49 @@ def is_faithful(m: Maniplex) -> CheckResult:
 # -- the order by flag-set intersection ----------------------------------------
 
 
+class FlagSets:
+    """A ranked poset as flag sets: ``levels[r][k]`` is the flag set of
+    element ``(r, k)``, and ranks ``-1`` and ``n`` hold the whole
+    ``universe``."""
+
+    def __init__(self, n: int, levels, universe: frozenset[int]):
+        self.n, self.levels, self.universe = n, levels, universe
+
+    @classmethod
+    def of_maniplex(cls, m: Maniplex) -> "FlagSets":
+        """Rank ``r`` faces as the components with colour ``r`` left out,
+        ordered by smallest flag."""
+        levels = []
+        for r in range(m.rank):
+            part = components(m.graph, [c for c in range(m.rank) if c != r])
+            blocks: dict[int, set[int]] = {}
+            for v, block in enumerate(part.ids):
+                blocks.setdefault(block, set()).add(v)
+            levels.append([frozenset(b) for b in blocks.values()])
+        return cls(m.rank, levels, frozenset(range(m.size)))
+
+    def section(self, a, b) -> "FlagSets":
+        """The elements strictly between ``a < b``, rank by rank in ref
+        order, under the flags ``a`` and ``b`` share."""
+        levels = [
+            [
+                self.flags_of(g)
+                for g in _level(self, r)
+                if leq(self, a, g) and leq(self, g, b)
+            ]
+            for r in range(a[0] + 1, b[0])
+        ]
+        universe = self.flags_of(a) & self.flags_of(b)
+        return FlagSets(b[0] - a[0] - 1, levels, universe)
+
+    def counts(self) -> tuple[int, ...]:
+        return tuple(map(len, self.levels))
+
+    def flags_of(self, ref) -> frozenset[int]:
+        r, k = ref
+        return self.universe if r in (-1, self.n) else self.levels[r][k]
+
+
 def leq(p: InducedPoset, a, b) -> bool:
     """Equal, or lower rank with intersecting flag sets."""
     if a == b:
@@ -159,13 +206,13 @@ def leq(p: InducedPoset, a, b) -> bool:
 def _level(p: InducedPoset, r: int) -> list:
     if r == -1 or r == p.n:
         return [(r, 0)]
-    return [(r, k) for k in range(len(p.level_flags[r]))]
+    return [(r, k) for k in range(p.counts()[r])]
 
 
 def uniform_chain_length(p: InducedPoset) -> CheckResult:
     """Every strict pair ``a < b`` with a rank gap has an element one rank
     above ``a`` between them; witness: the first failing pair."""
-    refs = list(p.refs(include_improper=True))
+    refs = [ref for r in range(-1, p.n + 1) for ref in _level(p, r)]
     for a in refs:
         for b in refs:
             if b[0] - a[0] < 2 or not leq(p, a, b):

@@ -93,7 +93,7 @@ def test_criterion_2_torus10_poset_collapse_and_klein_twin():
     def levels(poset):
         out = [[(-1, 0)]]
         out += [
-            [(r, j) for j in range(len(poset.level_flags[r]))]
+            [(r, j) for j in range(poset.counts()[r])]
             for r in range(poset.n)
         ]
         out.append([(poset.n, 0)])

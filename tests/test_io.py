@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from maniplexes import (
     write_json,
     write_mpx,
 )
+from maniplexes import cli
 from maniplexes.errors import ParseError
 from conftest import ALT_3TORUS_BASIS
 
@@ -128,3 +130,25 @@ def test_json_matches_golden_files():
 def test_json_is_stable_across_runs():
     m = torus_44(2, 0)
     assert write_json(m, is_polytopal(m)) == write_json(m, is_polytopal(m))
+
+
+def test_the_verdict_path_builds_no_face(all_fixtures, monkeypatch, capsys):
+    # face counts are partition block counts, so no Face (and no flag set)
+    # is built by the poset, the report or the CLI's check.
+    for name, fixture in all_fixtures.items():
+        m = Maniplex(fixture.graph)
+        induced_poset(m)
+        assert m._faces == {}, name
+        report = json.loads(write_json(m, is_polytopal(m)))
+        assert m._faces == {}, name
+        counts = [len(fixture.faces(i)) for i in range(m.rank)]
+        assert report["face_counts"] == counts, name
+        monkeypatch.setattr(cli, "_load", lambda path: m)
+        capsys.readouterr()
+        cli._cmd_check(argparse.Namespace(file=name, json=False))
+        assert m._faces == {}, name
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.endswith("faces per rank: " + " ".join(map(str, counts)))
+        cli._cmd_check(argparse.Namespace(file=name, json=True))
+        assert m._faces == {}, name
+        assert json.loads(capsys.readouterr().out) == report, name

@@ -28,7 +28,7 @@ from maniplexes import (
     torus_44,
     uniform_chain_length,
 )
-from maniplexes.errors import NotAChain, NotComparable, OutOfRange
+from maniplexes.errors import NoFlagSets, NotAChain, NotComparable, OutOfRange
 from conftest import ALT_3TORUS_BASIS, torus11_times_4bit
 from oracles import faithful_by_chain_count, faithful_by_enumeration
 
@@ -83,7 +83,7 @@ def test_report_table(all_fixtures, all_posets, all_reports):
         counts, chains, uni, dia, sfc, faith, poly = expected
         p = all_posets[name]
         r = all_reports[name]
-        assert [len(lv) for lv in p.level_flags] == counts, name
+        assert list(p.counts()) == counts, name
         assert r.chain_count == chains, name
         assert r.uniform_chain_length.holds is uni, name
         assert r.diamond.holds is dia, name
@@ -110,7 +110,7 @@ def test_improper_faces_bound_everything():
     p = induced_poset(torus_44(1, 1))
     bottom, top = (-1, 0), (p.n, 0)
     for r in range(p.n):
-        for k in range(len(p.level_flags[r])):
+        for k in range(p.counts()[r]):
             assert p.leq(bottom, (r, k)) and p.leq((r, k), top)
     assert p.leq(bottom, top)
 
@@ -125,7 +125,7 @@ def test_leq_requires_strictly_smaller_rank_or_equality():
 def _all_refs(p):
     refs = [(-1, 0), (p.n, 0)]
     for r in range(p.n):
-        refs += [(r, k) for k in range(len(p.level_flags[r]))]
+        refs += [(r, k) for k in range(p.counts()[r])]
     return sorted(refs)
 
 
@@ -177,29 +177,42 @@ def test_leq_equals_hasse_cover_reachability(all_posets):
 # -- the incidence table against the flag-set order --------------------------------
 
 
-def _assert_matches_oracles(p, label):
+def _assert_flag_sets(p, sets, label):
+    """``p`` derives the flag sets the oracle computed without the library."""
+    refs = list(p.refs(include_improper=True))
+    want = [sets.flags_of(a) for a in refs]
+    assert [p.flags_of(a) for a in refs] == want, label
+    assert p.universe == sets.universe, label
+
+
+def _assert_matches_oracles(p, label, sets):
+    """The table checks against the oracles over ``sets``, the oracle's flag
+    sets of ``p``, which ``p`` must derive too."""
+    _assert_flag_sets(p, sets, label)
     refs = list(p.refs(include_improper=True))
     got = [[p.leq(a, b) for b in refs] for a in refs]
-    assert got == [[oracles.leq(p, a, b) for b in refs] for a in refs], label
-    assert diamond(p) == oracles.diamond(p), label
-    assert uniform_chain_length(p) == oracles.uniform_chain_length(p), label
+    assert got == [[oracles.leq(sets, a, b) for b in refs] for a in refs], label
+    assert diamond(p) == oracles.diamond(sets), label
+    assert uniform_chain_length(p) == oracles.uniform_chain_length(sets), label
     sfc = strong_flag_connectivity(p)
     assert sfc == oracles.strong_flag_connectivity(p), label
     assert sfc == oracles.strong_flag_connectivity_by_spans(p), label
 
 
-def _sections(p):
-    """Every ``section(p, a, b)`` with a rank gap of three or more."""
+def _sections(p, sets):
+    """Every ``section(p, a, b)`` with a rank gap of three or more, with its
+    flag sets cut from ``sets``, the oracle's flag sets of ``p``."""
     refs = list(p.refs(include_improper=True))
     for a in refs:
         for b in refs:
-            if b[0] - a[0] >= 3 and oracles.leq(p, a, b):
-                yield (a, b), section(p, a, b)
+            if b[0] - a[0] >= 3 and oracles.leq(sets, a, b):
+                yield (a, b), section(p, a, b), sets.section(a, b)
 
 
-def test_table_matches_flag_set_order_on_fixtures(all_posets):
+def test_table_matches_flag_set_order_on_fixtures(all_fixtures, all_posets):
     for name, p in all_posets.items():
-        _assert_matches_oracles(p, name)
+        sets = oracles.FlagSets.of_maniplex(all_fixtures[name])
+        _assert_matches_oracles(p, name, sets)
     sfc_failures = [
         name
         for name, p in all_posets.items()
@@ -214,21 +227,52 @@ def test_table_matches_flag_set_order_on_corpus(corpus):
     failures = sfc_failures = 0
     for sample in corpus:
         p = induced_poset(sample.maniplex)
-        _assert_matches_oracles(p, sample.seed)
+        sets = oracles.FlagSets.of_maniplex(sample.maniplex)
+        _assert_matches_oracles(p, sample.seed, sets)
         failures += not diamond(p).holds
         sfc_failures += not strong_flag_connectivity(p).holds
     assert (failures, sfc_failures) == (497, 0)
 
 
-def test_table_matches_flag_set_order_on_sections(all_posets):
+def test_table_matches_flag_set_order_on_sections(all_fixtures, all_posets):
     sections = failures = sfc_failures = 0
     for name, p in all_posets.items():
-        for ends, s in _sections(p):
-            _assert_matches_oracles(s, (name, ends))
+        sets = oracles.FlagSets.of_maniplex(all_fixtures[name])
+        for ends, s, s_sets in _sections(p, sets):
+            _assert_matches_oracles(s, (name, ends), s_sets)
             sections += 1
             failures += not diamond(s).holds
             sfc_failures += not strong_flag_connectivity(s).holds
     assert (sections, failures, sfc_failures) == (562, 70, 30)
+
+
+class FlagSetPoset(InducedPoset):
+    """A test fake: a poset carrying its own flag sets, ordered by them,
+    where an induced poset derives its flag sets from a maniplex."""
+
+    def __init__(self, sets: oracles.FlagSets):
+        n, levels = sets.n, sets.levels
+        up = tuple(
+            tuple(
+                tuple(
+                    tuple(l for l, g in enumerate(levels[s]) if f & g)
+                    for f in levels[r]
+                )
+                if s > r
+                else ()
+                for s in range(n)
+            )
+            for r in range(n)
+        )
+        super().__init__(n, sets.counts(), up)
+        self.sets = sets
+
+    def flags_of(self, ref):
+        return self.sets.flags_of(self._check_ref(ref))
+
+    @property
+    def universe(self):
+        return self.sets.universe
 
 
 @st.composite
@@ -238,24 +282,16 @@ def flag_set_posets(draw):
     n = draw(st.integers(1, 4))
     subsets = st.frozensets(st.integers(0, 5), min_size=1)
     levels = [draw(st.lists(subsets, min_size=1, max_size=4)) for _ in range(n)]
-    up = tuple(
-        tuple(
-            tuple(
-                tuple(l for l, g in enumerate(levels[s]) if f & g)
-                for f in levels[r]
-            )
-            if s > r
-            else ()
-            for s in range(n)
-        )
-        for r in range(n)
-    )
-    return InducedPoset(n, levels, frozenset(range(6)), up)
+    return FlagSetPoset(oracles.FlagSets(n, levels, frozenset(range(6))))
 
 
 @given(flag_set_posets())
 def test_table_checks_match_oracles_on_arbitrary_posets(p):
-    _assert_matches_oracles(p, p.level_flags)
+    _assert_matches_oracles(p, p.sets.levels, p.sets)
+    # a section of an arbitrary poset need not be ordered by its flag sets,
+    # but it still derives them through the fake's own flags_of.
+    for ends, s, s_sets in _sections(p, p.sets):
+        _assert_flag_sets(s, s_sets, (p.sets.levels, ends))
 
 
 # -- chains -----------------------------------------------------------------------
@@ -316,7 +352,7 @@ def test_chain_intersection_rejects_incomparable_pair():
     vertex = (0, 0)
     other = next(
         (1, k)
-        for k in range(len(p.level_flags[1]))
+        for k in range(p.counts()[1])
         if not p.leq(vertex, (1, k))
     )
     with pytest.raises(NotAChain):
@@ -384,7 +420,7 @@ def test_section_rejects_incomparable_endpoints():
     vertex = (0, 0)
     other = next(
         (1, k)
-        for k in range(len(p.level_flags[1]))
+        for k in range(p.counts()[1])
         if not p.leq(vertex, (1, k))
     )
     with pytest.raises(NotComparable):
@@ -393,7 +429,7 @@ def test_section_rejects_incomparable_endpoints():
 
 def _proper_incidence_components(s):
     nodes = [
-        (r, k) for r in range(s.n) for k in range(len(s.level_flags[r]))
+        (r, k) for r in range(s.n) for k in range(s.counts()[r])
     ]
     parent = {x: x for x in nodes}
 
@@ -414,23 +450,20 @@ def _proper_incidence_components(s):
 
 def test_3torus_disconnected_vertex_cell_sections():
     p = induced_poset(rectified_cubic_3torus())
-    octahedra = [
-        k for k in range(len(p.level_flags[3])) if len(p.level_flags[3][k]) == 48
-    ]
-    cuboctahedra = [
-        k for k in range(len(p.level_flags[3])) if len(p.level_flags[3][k]) == 96
-    ]
+    cell_sizes = [len(p.flags_of((3, k))) for k in range(p.counts()[3])]
+    octahedra = [k for k, size in enumerate(cell_sizes) if size == 48]
+    cuboctahedra = [k for k, size in enumerate(cell_sizes) if size == 96]
     assert len(octahedra) == len(cuboctahedra) == 4
     disconnected = []
-    for vid in range(len(p.level_flags[0])):
-        for cid in range(len(p.level_flags[3])):
+    for vid in range(p.counts()[0]):
+        for cid in range(p.counts()[3]):
             if not p.leq((0, vid), (3, cid)):
                 continue
             s = section(p, (0, vid), (3, cid))
             if _proper_incidence_components(s) > 1:
                 disconnected.append((vid, cid))
                 assert _proper_incidence_components(s) == 2
-                assert [len(lv) for lv in s.level_flags] == [8, 8]
+                assert s.counts() == (8, 8)
                 assert len(s.universe) == 16
     assert disconnected == [(0, 2), (2, 3), (7, 6), (10, 7)]
     assert all(cid in octahedra for _, cid in disconnected)
@@ -500,7 +533,7 @@ def test_diamond_witness_count_is_exact():
     e, f, count = diamond(p).witness
     middles = [
         k
-        for k in range(len(p.level_flags[1]))
+        for k in range(p.counts()[1])
         if p.leq(e, (1, k)) and p.leq((1, k), f)
     ]
     assert len(middles) == count == 4
@@ -546,20 +579,17 @@ def test_sfc_matches_the_span_oracle_at_higher_rank():
 
 
 def twin(p: InducedPoset) -> InducedPoset:
-    """Two disjoint copies of ``p`` under one bottom and one top face."""
-    shift = len(p.universe)
-    level_flags = [
-        level + tuple(frozenset(v + shift for v in f) for f in level)
-        for level in p.level_flags
-    ]
+    """Two disjoint copies of ``p`` under one bottom and one top face, built
+    from counts and incidences alone, so it has no flag sets."""
+    counts = p.counts()
     up = tuple(
         tuple(
-            row + tuple(tuple(l + len(p.level_flags[s]) for l in ls) for ls in row)
+            row + tuple(tuple(l + counts[s] for l in ls) for ls in row)
             for s, row in enumerate(rows)
         )
         for rows in p.up
     )
-    return InducedPoset(p.n, level_flags, frozenset(range(2 * shift)), up)
+    return InducedPoset(p.n, [2 * c for c in counts], up)
 
 
 @pytest.mark.parametrize(
@@ -579,6 +609,22 @@ def test_twin_posets_fail_sfc_only_on_the_full_interval(m, chains):
     assert res.witness == (got[0], got[chains])
     assert res == oracles.strong_flag_connectivity_by_spans(p)
     assert res == oracles.strong_flag_connectivity(p)
+
+
+def test_a_poset_without_a_source_has_no_flag_sets():
+    p = twin(induced_poset(polygon(3)))
+    for q in (p, section(p, (0, 0), (2, 0))):
+        with pytest.raises(NoFlagSets):
+            q.flags_of((0, 0))
+        with pytest.raises(NoFlagSets):
+            q.universe
+        assert q.report().faithful is None
+
+
+def test_only_a_poset_induced_by_a_maniplex_reports_faithfulness():
+    p = induced_poset(hypercube(3))
+    assert p.report().faithful.holds
+    assert section(p, (-1, 0), (3, 0)).report().faithful is None
 
 
 def test_chain_tuples_extend_rank_by_rank_in_lex_order(all_posets):
