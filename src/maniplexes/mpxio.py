@@ -14,7 +14,7 @@ import json
 from typing import Any, Optional
 
 from .errors import ManiplexError, ParseError
-from .graphs import ColouredGraph, build_graph
+from .graphs import MAX_RANK, ColouredGraph, build_graph
 from .maniplex import Maniplex
 from .posets import InducedPoset, PosetReport
 from .polytopality import PolytopalityReport
@@ -44,6 +44,10 @@ def read_mpx(text: str) -> ColouredGraph:
                 rank, size = int(parts[1]), int(parts[2])
             except ValueError:
                 raise ParseError(lineno, "rank and flag count must be integers")
+            if not 1 <= rank <= MAX_RANK:
+                raise ParseError(lineno, f"rank {rank} not in range 1..{MAX_RANK}")
+            if size < 1:
+                raise ParseError(lineno, f"flag count {size} is not positive")
             header = (rank, size, lineno)
             continue
         if len(rows) == header[0]:

@@ -15,6 +15,7 @@ colour-set pairs ``(A, B)``, and cross-compared:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
@@ -147,6 +148,24 @@ def check_wpip(m: Maniplex) -> WpipResult:
     return WpipResult(not failures, first, tuple(failures))
 
 
+Pair = tuple[int, int]
+
+
+@lru_cache(maxsize=None)
+def _spip_pairs(n: int) -> tuple[tuple[Pair, ...], tuple[tuple[int, int, int], ...]]:
+    """The incomparable colour-mask pairs ``a < b`` in scan order, and each
+    co-pair ``(a, b, i)`` with ``i`` the index of the first pair whose
+    co-pair it is, in that order."""
+    full = (1 << n) - 1
+    masks = range(1 << n)
+    pairs = tuple((a, b) for a in masks for b in masks[a + 1 :] if a & b not in (a, b))
+    first: dict[Pair, int] = {}
+    for i, (a, b) in enumerate(pairs):
+        co = a | (full ^ b)
+        first.setdefault((min(co, b), max(co, b)), i)
+    return pairs, tuple((a, b, i) for (a, b), i in first.items())
+
+
 def check_spip(m: Maniplex) -> CheckResult:
     """Symmetric property: for any colour subsets ``A, B``, the meet of
     their component partitions must equal the components of ``A & B``.
@@ -155,13 +174,25 @@ def check_spip(m: Maniplex) -> CheckResult:
     subset contains the other hold trivially and are skipped; the empty
     subset is included).  Above rank 6 only the interval pairs are checked,
     which decide the same verdict.
+
+    Up to rank 6 the verdict is decided on the co-pairs, those with
+    ``A | B`` every colour.  If ``(A, B)`` fails, so does its co-pair
+    ``(A | ~B, B)``: it meets in the same ``A & B``, and its ``A`` side
+    only joins more flags.  The co-pairs are tried in the order of the
+    first pair each stands for.  When one fails, every pair before that
+    first one holds, so the scan for the witness starts there and splits
+    at most one pair more than a scan of every pair.
     """
     n = m.rank
     if n > 6:
         pairs = [(a, b) for _, _, a, b in _windows(n)]
     else:
-        masks = range(1 << n)
-        pairs = [(a, b) for a in masks for b in masks[a + 1 :] if a & b not in (a, b)]
+        pairs, co_pairs = _spip_pairs(n)
+        failing = (i for a, b, i in co_pairs if _split(m, a, b) is not None)
+        start = next(failing, None)
+        if start is None:
+            return CheckResult(True)
+        pairs = pairs[start:]
     for a, b in pairs:
         split = _split(m, a, b)
         if split is not None:

@@ -380,14 +380,87 @@ def strong_flag_connectivity(p: InducedPoset) -> CheckResult:
     if not pairs:
         return CheckResult(True)
     t1, t2 = min(pairs)
-    chain_list = p.maximal_chains()
-    return CheckResult(False, (chain_list[t1], chain_list[t2]))
+    return CheckResult(
+        False, (MaximalChain.through(chains[t1]), MaximalChain.through(chains[t2]))
+    )
+
+
+def _sections_connected(p: InducedPoset) -> bool:
+    """Whether, for every ``f < g`` with a rank gap of three or more
+    (improper elements included), the elements strictly between them are
+    connected under consecutive-rank incidence.
+
+    On a poset with uniform chain length and the diamond condition (a
+    prepolytope) this is strong flag connectivity (McMullen & Schulte,
+    *Abstract Regular Polytopes*, 2A): a walk over faces, not chains.
+    There every element between ``f`` and ``g`` lies above one of the
+    lowest rank between them, and two of those below some ``h`` are
+    connected below ``h`` when the smaller section ``h/f`` is.  So every
+    section is connected exactly when, in every section, the elements of
+    the lowest rank are connected through those one rank up: the walk
+    visits those two ranks only.
+    """
+    n = p.n
+    # below[s][r][l]: the rank-r indices below (s, l), the transposed table
+    below = [
+        [[[] for _ in range(p.counts()[s])] for _ in range(s)] for s in range(n)
+    ]
+    for r in range(n):
+        for s in range(r + 1, n):
+            for k, ls in enumerate(p.up[r][s]):
+                for l in ls:
+                    below[s][r][l].append(k)
+    for f in p.refs(include_improper=True):
+        lo = f[0] + 1
+        if lo + 2 > n:
+            break  # refs come by rank, so no later f has a gap of three
+        ups, downs = p.up[lo][lo + 1], below[lo + 1][lo]
+        low, next_up = set(_above(p, f, lo)), set(_above(p, f, lo + 1))
+        for s in range(lo + 2, n + 1):
+            for g in _above(p, f, s):
+                if s == n:
+                    vs, es = low, next_up
+                else:
+                    vs = low.intersection(below[s][lo][g])
+                    es = next_up.intersection(below[s][lo + 1][g])
+                v = min(vs)
+                seen, stack = {v}, [v]
+                while stack:
+                    for e in ups[stack.pop()]:
+                        if e in es:
+                            for w in downs[e]:
+                                if w in vs and w not in seen:
+                                    seen.add(w)
+                                    stack.append(w)
+                if len(seen) != len(vs):
+                    return False
+    return True
+
+
+def _chain_count(p: InducedPoset) -> int:
+    """``len(p._chain_tuples())``, counted rank by rank over ``up``."""
+    if p.n == 0:
+        return 1
+    ways = [1] * p.counts()[0]
+    for r in range(p.n - 1):
+        nxt = [0] * p.counts()[r + 1]
+        for k, ups in enumerate(p.up[r][r + 1]):
+            for l in ups:
+                nxt[l] += ways[k]
+        ways = nxt
+    return sum(ways)
 
 
 def _build_report(p: InducedPoset) -> PosetReport:
+    """The poset checks.  A prepolytope whose sections are connected is
+    strongly flag-connected; any other poset pays for its chains, which
+    name the witness of a failure."""
     uniform = uniform_chain_length(p)
     dia = diamond(p)
-    sfc = strong_flag_connectivity(p)
+    if uniform.holds and dia.holds and _sections_connected(p):
+        sfc = CheckResult(True)
+    else:
+        sfc = strong_flag_connectivity(p)
     faithful = is_faithful(p.source) if isinstance(p.source, Maniplex) else None
     return PosetReport(
         is_ranked_bounded=True,
@@ -395,7 +468,7 @@ def _build_report(p: InducedPoset) -> PosetReport:
         diamond=dia,
         strong_flag_connected=sfc,
         faithful=faithful,
-        chain_count=len(p._chain_tuples()),
+        chain_count=_chain_count(p),
         is_polytope=uniform.holds and dia.holds and sfc.holds,
     )
 

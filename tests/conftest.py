@@ -74,15 +74,18 @@ def oddball8() -> Maniplex:
     return Maniplex(build_graph(4, ODDBALL8_ROWS))
 
 
-def torus11_times_4bit() -> Maniplex:
-    """Rank 7: colours 0..2 act on torus44(1,1), colours 3..6 each flip one
-    bit of a 4-bit cube factor, so the torus defect breaks the interval
-    property at the window (0, 2)."""
+def torus11_times_bits(k: int) -> Maniplex:
+    """Rank ``3 + k``: colours 0..2 act on torus44(1,1), colours 3.. each
+    flip one bit of a ``k``-bit cube factor, so the torus defect breaks the
+    interval property at the window (0, 2)."""
     t = torus_44(1, 1)
-    flags = range(t.size * 16)  # flag 16 * a + b: torus flag a, cube flag b
-    rows = [[t.neighbour(c, v // 16) * 16 + v % 16 for v in flags] for c in range(3)]
-    rows += [[v ^ (1 << bit) for v in flags] for bit in range(4)]
-    return Maniplex(build_graph(7, rows))
+    cube = 1 << k
+    flags = range(t.size * cube)  # flag cube * a + b: torus flag a, cube flag b
+    rows = [
+        [t.neighbour(c, v // cube) * cube + v % cube for v in flags] for c in range(3)
+    ]
+    rows += [[v ^ (1 << bit) for v in flags] for bit in range(k)]
+    return Maniplex(build_graph(3 + k, rows))
 
 
 def build_geometric_fixtures() -> dict[str, Maniplex]:

@@ -64,6 +64,21 @@ def test_check_parse_error_exits_two(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("mpx 2 -1\n1 0\n", "flag count -1 is not positive"),
+        ("mpx 99 2\n", "rank 99 not in range 1..64"),
+    ],
+)
+def test_check_bad_header_counts_exit_two_at_the_header(tmp_path, text, reason):
+    bad = tmp_path / "bad.mpx"
+    bad.write_text("# a comment first\n" + text)
+    r = run("check", bad)
+    assert r.returncode == 2
+    assert r.stderr == f"error: line 2: {reason}\n"
+
+
 def test_check_non_utf8_file_exits_two_naming_the_line(tmp_path):
     bad = tmp_path / "bom16.mpx"
     bad.write_bytes(b"mpx 1 2\n\xff\xfe1 0\n")

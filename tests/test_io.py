@@ -61,6 +61,11 @@ def test_read_fixture_file_is_the_expected_torus():
         ("mpx 1 2\n0 1", 2, "fixes"),
         ("mpx 1 2\n1 x", 2, ""),
         ("mpx 2 4\n1 0 3 2", 2, "rows"),
+        ("mpx 2 -1\n1 0\n", 1, "flag count -1 is not positive"),
+        ("mpx 1 0\n", 1, "flag count 0 is not positive"),
+        ("mpx 99 2\n", 1, "rank 99 not in range 1..64"),
+        ("mpx 65 2\n1 0\n", 1, "rank 65 not in range 1..64"),
+        ("mpx -1 2\n", 1, "rank -1 not in range 1..64"),
     ],
 )
 def test_read_rejects_malformed_input(text, line, fragment):

@@ -30,12 +30,12 @@ from maniplexes import (
 )
 from maniplexes.errors import InconsistentVerdicts, NotAPolytope
 from maniplexes.graphs import split_pair
-from maniplexes.polytopality import _certify_beta
+from maniplexes.polytopality import _certify_beta, _spip_pairs
 from conftest import (
     ALT_3TORUS_BASIS,
     POLYTOPAL_NAMES,
     relabelled,
-    torus11_times_4bit,
+    torus11_times_bits,
 )
 import oracles
 from oracles import check_cip_via_chains
@@ -190,7 +190,7 @@ def test_split_pair_of_equal_partitions_raises_a_typed_error():
 
 
 def test_spip_delegation_translates_wpip_witness():
-    m = torus11_times_4bit()
+    m = torus11_times_bits(4)
     w = check_wpip(m).witness
     assert (w.low, w.high, w.flag_a, w.flag_b) == (0, 2, 0, 64)
     res = check_spip(m)
@@ -201,10 +201,61 @@ def test_spip_delegation_translates_wpip_witness():
     assert res.witness == SpipWitness((1, 2, 3, 4, 5, 6), (0, 1), 0, 64)
 
 
+@pytest.mark.parametrize(
+    "k, witness",
+    [(2, SpipWitness((0, 1), (1, 2), 0, 16)), (3, SpipWitness((0, 1), (1, 2), 0, 32))],
+)
+def test_exhaustive_spip_fails_at_ranks_5_and_6(k, witness):
+    # rank 3 + k, at most 6: the co-pairs decide, then the pair scan names
+    # the witness.
+    m = torus11_times_bits(k)
+    res = check_spip(m)
+    assert res == oracles.check_spip(m)
+    assert res == CheckResult(False, witness)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_spip_pair_counts(n):
+    pairs, co_pairs = _spip_pairs(n)
+    assert len(pairs) == (4**n - 2 * 3**n + 2**n) // 2
+    assert len(co_pairs) == (3**n - 2 ** (n + 1) + 1) // 2
+    full = (1 << n) - 1
+    assert all(a | b == full and (a, b) in pairs for a, b, _ in co_pairs)
+    starts = [i for *_, i in co_pairs]
+    assert starts == sorted(set(starts))
+
+
+def _fails(m, a, b):
+    """Whether the components over colour masks ``a`` and ``b`` meet in a
+    coarser partition than those over ``a & b``."""
+
+    def bits(mask):
+        return [c for c in range(m.rank) if mask >> c & 1]
+
+    met = partition_meet(m.components_of(bits(a)), m.components_of(bits(b)))
+    return met != m.components_of(bits(a & b))
+
+
+def test_a_failing_pair_has_failing_co_pairs(all_fixtures, corpus):
+    # (A, B) fails, so (A | ~B, B) and (A, B | ~A) fail: they meet in the
+    # same A & B from coarser sides.  check_spip decides on such co-pairs.
+    samples = [*all_fixtures.items(), *((s.seed, s.maniplex) for s in corpus)]
+    failing = 0
+    for label, m in samples:
+        full = (1 << m.rank) - 1
+        for a in range(full + 1):
+            for b in range(a + 1, full + 1):
+                if a & b not in (a, b) and _fails(m, a, b):
+                    failing += 1
+                    assert _fails(m, a | (full ^ b), b), (label, a, b)
+                    assert _fails(m, a, b | (full ^ a)), (label, a, b)
+    assert failing == 11436
+
+
 def test_criteria_match_the_separate_loop_oracles(all_fixtures, corpus):
     samples = list(all_fixtures.items())
     samples += [(s.seed, s.maniplex) for s in corpus]
-    samples.append(("torus11_times_4bit", torus11_times_4bit()))
+    samples.append(("torus11_times_bits(4)", torus11_times_bits(4)))
     for label, m in samples:
         assert check_cip(m) == oracles.check_cip(m), label
         assert check_wpip(m) == oracles.check_wpip(m), label

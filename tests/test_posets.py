@@ -29,7 +29,7 @@ from maniplexes import (
     uniform_chain_length,
 )
 from maniplexes.errors import NoFlagSets, NotAChain, NotComparable, OutOfRange
-from conftest import ALT_3TORUS_BASIS, torus11_times_4bit
+from conftest import ALT_3TORUS_BASIS, torus11_times_bits
 from oracles import faithful_by_chain_count, faithful_by_enumeration
 
 
@@ -197,6 +197,25 @@ def _assert_matches_oracles(p, label, sets):
     sfc = strong_flag_connectivity(p)
     assert sfc == oracles.strong_flag_connectivity(p), label
     assert sfc == oracles.strong_flag_connectivity_by_spans(p), label
+    return _assert_report_sfc(p, sfc, label)
+
+
+def _is_prepolytope(r):
+    return r.uniform_chain_length.holds and r.diamond.holds
+
+
+def _assert_report_sfc(p, sfc, label):
+    """The report of a fresh copy of ``p`` gives ``sfc``, the chain path's
+    verdict and witness, deciding a prepolytope from its sections, and
+    counts the chains the chain path enumerates.  A strongly flag-connected
+    prepolytope enumerates none.  Returns that report."""
+    fresh = InducedPoset(p.n, p.counts(), p.up, p.source)
+    r = fresh.report()
+    assert r.strong_flag_connected == sfc, label
+    assert r.chain_count == len(p._chain_tuples()), label
+    if _is_prepolytope(r) and sfc.holds:
+        assert fresh._chains is None, label
+    return r
 
 
 def _sections(p, sets):
@@ -210,40 +229,44 @@ def _sections(p, sets):
 
 
 def test_table_matches_flag_set_order_on_fixtures(all_fixtures, all_posets):
+    prepolytopes = 0
     for name, p in all_posets.items():
         sets = oracles.FlagSets.of_maniplex(all_fixtures[name])
-        _assert_matches_oracles(p, name, sets)
+        prepolytopes += _is_prepolytope(_assert_matches_oracles(p, name, sets))
     sfc_failures = [
         name
         for name, p in all_posets.items()
         if not strong_flag_connectivity(p).holds
     ]
     assert sfc_failures == ["rect3torus", "rect3torus_alt"]
+    assert prepolytopes == 13
 
 
 def test_table_matches_flag_set_order_on_corpus(corpus):
     # no corpus sample fails strong flag connectivity, so here the oracle
     # comparison only pins the passing verdict.
-    failures = sfc_failures = 0
+    failures = sfc_failures = prepolytopes = 0
     for sample in corpus:
         p = induced_poset(sample.maniplex)
         sets = oracles.FlagSets.of_maniplex(sample.maniplex)
-        _assert_matches_oracles(p, sample.seed, sets)
+        r = _assert_matches_oracles(p, sample.seed, sets)
         failures += not diamond(p).holds
         sfc_failures += not strong_flag_connectivity(p).holds
-    assert (failures, sfc_failures) == (497, 0)
+        prepolytopes += _is_prepolytope(r)
+    assert (failures, sfc_failures, prepolytopes) == (497, 0, 503)
 
 
 def test_table_matches_flag_set_order_on_sections(all_fixtures, all_posets):
-    sections = failures = sfc_failures = 0
+    sections = failures = sfc_failures = prepolytopes = 0
     for name, p in all_posets.items():
         sets = oracles.FlagSets.of_maniplex(all_fixtures[name])
         for ends, s, s_sets in _sections(p, sets):
-            _assert_matches_oracles(s, (name, ends), s_sets)
+            r = _assert_matches_oracles(s, (name, ends), s_sets)
             sections += 1
             failures += not diamond(s).holds
             sfc_failures += not strong_flag_connectivity(s).holds
-    assert (sections, failures, sfc_failures) == (562, 70, 30)
+            prepolytopes += _is_prepolytope(r)
+    assert (sections, failures, sfc_failures, prepolytopes) == (562, 70, 30, 492)
 
 
 class FlagSetPoset(InducedPoset):
@@ -570,12 +593,17 @@ def test_sfc_witness_is_a_pair_of_maximal_chains():
 def test_sfc_matches_the_span_oracle_at_higher_rank():
     inputs = [(f"bitflip({n})", bitflip(n)) for n in range(2, 11)]
     inputs += [(f"hypercube({d})", hypercube(d)) for d in range(1, 5)]
-    inputs.append(("torus11_times_4bit", torus11_times_4bit()))
+    inputs.append(("torus11_times_bits(4)", torus11_times_bits(4)))
+    prepolytopes = []
     for label, m in inputs:
         p = induced_poset(m)
         res = strong_flag_connectivity(p)
         assert res == oracles.strong_flag_connectivity_by_spans(p), label
         assert res.holds, label
+        if _is_prepolytope(_assert_report_sfc(p, res, label)):
+            prepolytopes.append(label)
+    # torus44(1,1) fails the diamond condition, and so does its product
+    assert prepolytopes == [label for label, _ in inputs[:-1]]
 
 
 def twin(p: InducedPoset) -> InducedPoset:
@@ -609,6 +637,7 @@ def test_twin_posets_fail_sfc_only_on_the_full_interval(m, chains):
     assert res.witness == (got[0], got[chains])
     assert res == oracles.strong_flag_connectivity_by_spans(p)
     assert res == oracles.strong_flag_connectivity(p)
+    assert _is_prepolytope(_assert_report_sfc(p, res, m))
 
 
 def test_a_poset_without_a_source_has_no_flag_sets():
