@@ -125,31 +125,23 @@ def _cmd_check(args) -> int:
     return 0 if report.polytopal else 1
 
 
+def _rect3torus(args) -> Maniplex:
+    try:
+        basis = tuple(
+            tuple(int(x) for x in vec.split(","))
+            for vec in (args.v1, args.v2, args.v3)
+        )
+        if any(len(v) != 3 for v in basis):
+            raise ValueError
+    except ValueError:
+        raise ManiplexError(
+            "each basis vector needs three comma-separated integers"
+        ) from None
+    return rectified_cubic_3torus(basis)
+
+
 def _cmd_gen(args) -> int:
-    if args.family == "polygon":
-        m = polygon(args.p)
-    elif args.family == "cube":
-        m = hypercube(args.d)
-    elif args.family == "torus44":
-        m = torus_44(args.b, args.c)
-    elif args.family == "klein44":
-        m = klein_44()
-    elif args.family == "rect3torus":
-        try:
-            basis = tuple(
-                tuple(int(x) for x in vec.split(","))
-                for vec in (args.v1, args.v2, args.v3)
-            )
-            if any(len(v) != 3 for v in basis):
-                raise ValueError
-        except ValueError:
-            raise ManiplexError(
-                "each basis vector needs three comma-separated integers"
-            ) from None
-        m = rectified_cubic_3torus(basis)
-    else:
-        m = random_maniplex(args.rank, args.seed, args.budget)
-    _emit(write_mpx(m.graph), args.output)
+    _emit(write_mpx(args.build(args).graph), args.output)
     return 0
 
 
@@ -221,13 +213,18 @@ def build_parser() -> _Parser:
     p_gen = sub.add_parser("gen", help="generate a maniplex family member")
     families = p_gen.add_subparsers(dest="family", required=True)
     basis = [",".join(map(str, v)) for v in DEFAULT_3TORUS_BASIS]
-    for family, flags in (
-        ("polygon", [("--p", 3, "polygon sides")]),
-        ("cube", [("--d", 3, "cube dimension")]),
-        ("torus44", [("--b", 1, "translation x"), ("--c", 0, "translation y")]),
-        ("klein44", []),
+    for family, build, flags in (
+        ("polygon", lambda a: polygon(a.p), [("--p", 3, "polygon sides")]),
+        ("cube", lambda a: hypercube(a.d), [("--d", 3, "cube dimension")]),
+        (
+            "torus44",
+            lambda a: torus_44(a.b, a.c),
+            [("--b", 1, "translation x"), ("--c", 0, "translation y")],
+        ),
+        ("klein44", lambda a: klein_44(), []),
         (
             "rect3torus",
+            _rect3torus,
             [
                 (f"--v{k}", v, f"basis vector {k} (comma-separated)")
                 for k, v in enumerate(basis, 1)
@@ -235,6 +232,7 @@ def build_parser() -> _Parser:
         ),
         (
             "random",
+            lambda a: random_maniplex(a.rank, a.seed, a.budget),
             [
                 ("--rank", 3, "rank (1..4)"),
                 ("--seed", 0, "random seed"),
@@ -246,6 +244,7 @@ def build_parser() -> _Parser:
         for flag, default, text in flags:
             p_family.add_argument(flag, type=type(default), default=default, help=text)
         p_family.add_argument("-o", "--output", default="-", help="output file or -")
+        p_family.set_defaults(build=build)
     p_gen.set_defaults(func=_cmd_gen)
 
     p_poset = sub.add_parser("poset", help="summarize the induced poset")

@@ -20,7 +20,7 @@ from .errors import (
     InconsistentVerdicts,
     ManiplexError,
 )
-from .graphs import build_graph, components
+from .graphs import build_graph, components, orbit
 from .maniplex import Maniplex
 
 # Fundamental translations used by the rectified cubic 3-torus by default.
@@ -103,33 +103,18 @@ def torus_44(b: int, c: int) -> Maniplex:
         m2 = rnd(y * b - x * c)
         return (x - (b * m1 - c * m2), y - (b * m2 + c * m1))
 
-    v0 = canon((0, 0))
-    order: dict[tuple[int, int], int] = {v0: 0}
-    queue = [v0]
-    for z in queue:
-        for dx, dy in _DIRS:
-            w = canon((z[0] + dx, z[1] + dy))
-            if w not in order:
-                order[w] = len(order)
-                queue.append(w)
+    order, nbrs = orbit(
+        canon((0, 0)), lambda d, z: canon((z[0] + _DIRS[d][0], z[1] + _DIRS[d][1])), 4
+    )
     if len(order) != n:
         raise InconsistentVerdicts("vertex count must match the lattice index")
-
-    def fid(z: tuple[int, int], du: int, s: int) -> int:
-        return (order[z] * 4 + du) * 2 + s
-
-    size = 8 * n
-    rows = [[0] * size for _ in range(3)]
-    for z, _ in order.items():
-        for du in range(4):
-            ux, uy = _DIRS[du]
-            for s in range(2):
-                k = fid(z, du, s)
-                rows[0][k] = fid(
-                    canon((z[0] + ux, z[1] + uy)), (du + 2) % 4, 1 - s
-                )
-                rows[1][k] = fid(z, (du + 1) % 4 if s == 0 else (du + 3) % 4, 1 - s)
-                rows[2][k] = fid(z, du, 1 - s)
+    # Flag (vertex i, direction du, side s) is number (4 * i + du) * 2 + s.
+    flags = [(i, du, s) for i in range(n) for du in range(4) for s in range(2)]
+    rows = [
+        [(4 * nbrs[du][i] + (du + 2) % 4) * 2 + 1 - s for i, du, s in flags],
+        [(4 * i + (du + 1 + 2 * s) % 4) * 2 + 1 - s for i, du, s in flags],
+        [(4 * i + du) * 2 + 1 - s for i, du, s in flags],
+    ]
     return Maniplex(build_graph(3, rows))
 
 
@@ -295,22 +280,10 @@ def rectified_cubic_3torus(
         return (p, e, fs, cc2)
 
     seed = canon_flag(((1, 0, 0), (1, 1, 0), (4, 4, 0), (1, 1, 1)))
-    index: dict[tuple[V, V, V, V], int] = {seed: 0}
-    queue = [seed]
-    for fl in queue:
-        for c in range(4):
-            nb = canon_flag(phi(c, fl))
-            if nb not in index:
-                index[nb] = len(index)
-                queue.append(nb)
-    det = h[0][0] * h[1][1] * h[2][2]  # 8 * |det basis|
-    expected = 18 * det
-    if len(index) != expected:
-        raise InconsistentVerdicts(f"expected {expected} flags, got {len(index)}")
-    rows = [[0] * len(index) for _ in range(4)]
-    for fl, k in index.items():
-        for c in range(4):
-            rows[c][k] = index[canon_flag(phi(c, fl))]
+    order, rows = orbit(seed, lambda c, fl: canon_flag(phi(c, fl)), 4)
+    expected = 18 * h[0][0] * h[1][1] * h[2][2]  # 144 * |det basis|
+    if len(order) != expected:
+        raise InconsistentVerdicts(f"expected {expected} flags, got {len(order)}")
     return Maniplex(build_graph(4, rows))
 
 

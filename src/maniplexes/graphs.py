@@ -6,9 +6,10 @@ colour ``c`` in ``range(n)`` an array ``m[c]`` with ``m[c][v]`` the unique
 fixed-point-free involutions and no two colours agree at any flag.
 
 This module knows nothing about maniplexes; it provides the graph container,
-component partitions grown by the one union-find :func:`join`, partition
-meets, and the one anchor search, :func:`extensions`, behind
-colour-preserving isomorphisms and coverings.
+the one breadth-first numbering, :func:`orbit`, behind every graph built by
+rule from a base flag, component partitions grown by the one union-find
+:func:`join`, partition meets, and the one anchor search,
+:func:`extensions`, behind colour-preserving isomorphisms and coverings.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     FixedPoint,
@@ -104,9 +105,11 @@ def build_graph(rank: int, matchings: Sequence[Sequence[int]]) -> ColouredGraph:
         for v in range(size):
             w = row[v]
             if not 0 <= w < size:
-                raise OutOfRange(
+                err = OutOfRange(
                     f"colour {c} maps flag {v} to {w}, outside 0..{size - 1}"
                 )
+                err.colour = c  # carried as FixedPoint does, for read_mpx
+                raise err
             if w == v:
                 raise FixedPoint(c, v)
             if row[w] != v:
@@ -117,6 +120,29 @@ def build_graph(rank: int, matchings: Sequence[Sequence[int]]) -> ColouredGraph:
             v = next(v for v in range(size) if frozen[c][v] == frozen[d][v])
             raise MultiEdge(c, d, v)
     return ColouredGraph(rank=rank, size=size, matchings=tuple(frozen))
+
+
+def orbit(
+    start: Hashable, step: Callable[[int, Any], Hashable], k: int
+) -> tuple[list[Any], list[list[int]]]:
+    """The states reached from ``start`` by ``step(c, state)``, numbered in
+    breadth-first discovery order with ``c`` ascending over ``range(k)``.
+
+    Returns ``order`` and ``rows``, with ``rows[c][i]`` the number of
+    ``step(c, order[i])``; each step is computed once.
+    """
+    index = {start: 0}
+    order = [start]
+    rows: list[list[int]] = [[] for _ in range(k)]
+    for state in order:
+        for c, row in enumerate(rows):
+            nxt = step(c, state)
+            i = index.get(nxt)
+            if i is None:
+                i = index[nxt] = len(order)
+                order.append(nxt)
+            row.append(i)
+    return order, rows
 
 
 class Partition:

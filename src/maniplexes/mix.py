@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InconsistentVerdicts, OutOfRange, RankMismatch
-from .graphs import build_graph, extensions, index_in_range
+from .graphs import build_graph, extensions, index_in_range, orbit
 from .maniplex import Maniplex
 
 
@@ -39,24 +39,10 @@ def mix_with_projections(
         index_in_range(base_m, m.size, OutOfRange, "base flag of the first factor"),
         index_in_range(base_n, n.size, OutOfRange, "base flag of the second factor"),
     )
-    index: dict[tuple[int, int], int] = {start: 0}
-    order = [start]
-    for a, b in order:
-        for c in range(m.rank):
-            pair = (m.graph.matchings[c][a], n.graph.matchings[c][b])
-            if pair not in index:
-                index[pair] = len(index)
-                order.append(pair)
-    rows = [
-        [
-            index[(m.graph.matchings[c][a], n.graph.matchings[c][b])]
-            for a, b in order
-        ]
-        for c in range(m.rank)
-    ]
+    mm, nn = m.graph.matchings, n.graph.matchings
+    order, rows = orbit(start, lambda c, ab: (mm[c][ab[0]], nn[c][ab[1]]), m.rank)
+    proj_m, proj_n = zip(*order)
     mixed = Maniplex(build_graph(m.rank, rows))
-    proj_m = tuple(a for a, _ in order)
-    proj_n = tuple(b for _, b in order)
     return mixed, proj_m, proj_n
 
 

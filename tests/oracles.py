@@ -28,7 +28,9 @@ partitions of each subset, and SPIP above rank 6 translates the interval
 witness.  ``are_isomorphic`` and ``find_covering`` are the library's former
 searches, kept verbatim: every flag of the target is tried as the image of
 flag 0, in ascending order, with no pruning, and ``are_isomorphic`` checks
-that both graphs are connected.
+that both graphs are connected.  ``mix_with_projections`` is the library's
+former mix, kept verbatim: its own breadth-first numbering of flag pairs,
+then a second pass over every pair to fill the rows.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from maniplexes import (
     WindowWitness,
     WpipResult,
     all_chains,
+    build_graph,
     chain_intersection,
     chain_of_flag,
     induced_poset,
@@ -57,7 +60,12 @@ from maniplexes import (
     meet_all,
     partition_meet,
 )
-from maniplexes.errors import DisconnectedInput, InconsistentVerdicts, OutOfRange
+from maniplexes.errors import (
+    DisconnectedInput,
+    InconsistentVerdicts,
+    OutOfRange,
+    RankMismatch,
+)
 from maniplexes.graphs import index_in_range, split_pair
 
 
@@ -510,3 +518,40 @@ def _propagate(
             elif phi[w] != img:
                 return None
     return tuple(phi)
+
+
+def mix_with_projections(
+    m: Maniplex, n: Maniplex, base_m: int = 0, base_n: int = 0
+) -> tuple[Maniplex, tuple[int, ...], tuple[int, ...]]:
+    """The mix through ``(base_m, base_n)`` plus both projection maps.
+
+    Flags of the mix are numbered in breadth-first discovery order from the
+    base pair, exploring colours in ascending order, so the result is
+    deterministic.  Raises :class:`RankMismatch` for unequal ranks and
+    :class:`OutOfRange` for a base flag that is not a flag of its factor.
+    """
+    if m.rank != n.rank:
+        raise RankMismatch(f"cannot mix ranks {m.rank} and {n.rank}")
+    start = (
+        index_in_range(base_m, m.size, OutOfRange, "base flag of the first factor"),
+        index_in_range(base_n, n.size, OutOfRange, "base flag of the second factor"),
+    )
+    index: dict[tuple[int, int], int] = {start: 0}
+    order = [start]
+    for a, b in order:
+        for c in range(m.rank):
+            pair = (m.graph.matchings[c][a], n.graph.matchings[c][b])
+            if pair not in index:
+                index[pair] = len(index)
+                order.append(pair)
+    rows = [
+        [
+            index[(m.graph.matchings[c][a], n.graph.matchings[c][b])]
+            for a, b in order
+        ]
+        for c in range(m.rank)
+    ]
+    mixed = Maniplex(build_graph(m.rank, rows))
+    proj_m = tuple(a for a, _ in order)
+    proj_n = tuple(b for _, b in order)
+    return mixed, proj_m, proj_n

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import math
 import sys
@@ -20,6 +21,7 @@ from maniplexes import (
     random_maniplex,
     rectified_cubic_3torus,
     torus_44,
+    write_mpx,
 )
 from maniplexes.errors import BadParam, DegenerateBasis
 from conftest import ALT_3TORUS_BASIS
@@ -150,6 +152,44 @@ def test_3torus_alt_basis_same_face_vector_more_chains():
     assert [len(alt.faces(i)) for i in range(4)] == [12, 48, 44, 8]
     assert induced_poset(alt).report().chain_count == 576
     assert are_isomorphic(alt.graph, rectified_cubic_3torus().graph) is None
+
+
+# -- numbering pins ---------------------------------------------------------------
+#
+# sha256 of the .mpx bytes, recorded before the breadth-first numbering was
+# shared through ``graphs.orbit``: flag ids, and so every written file, must
+# not move.
+
+TORI_GRID_DIGEST = "524d5b84c1405828f7bbc18274a3684200cab6904bbfc1a1b55ce85a07debf6b"
+
+RECT_3TORUS_DIGESTS = {
+    None: "2fa7faff3992d2bddff540f3b19747eb113588dc0dd54a7170f2e9dd02cb9b6e",
+    ALT_3TORUS_BASIS: (
+        "d515f08960bf16c24d8c9139c839f1accb6d142ab68fd05f6a54c6282ac97612"
+    ),
+    ((2, 0, 0), (0, 2, 0), (0, 0, 2)): (
+        "a4e4579b6046ba1319719e24da51db2c3397641fe78dbc87e83b839ff625cef3"
+    ),
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1)): (
+        "92a083e6de955983b53781b88635bb0283ce5cc50a8a32957f08d8bde2865d56"
+    ),
+}
+
+
+def test_torus_mpx_bytes_are_pinned():
+    # 103 tori: b in -4..8, c in -3..4, written back to back
+    digest = hashlib.sha256()
+    for b in range(-4, 9):
+        for c in range(-3, 5):
+            if (b, c) != (0, 0):
+                digest.update(write_mpx(torus_44(b, c).graph).encode())
+    assert digest.hexdigest() == TORI_GRID_DIGEST
+
+
+@pytest.mark.parametrize("basis", list(RECT_3TORUS_DIGESTS), ids=str)
+def test_3torus_mpx_bytes_are_pinned(basis):
+    text = write_mpx(rectified_cubic_3torus(basis).graph)
+    assert hashlib.sha256(text.encode()).hexdigest() == RECT_3TORUS_DIGESTS[basis]
 
 
 def _benchmark_workloads():

@@ -30,7 +30,7 @@ from maniplexes.errors import (
     OutOfRange,
     SizeMismatch,
 )
-from maniplexes.graphs import extensions, join
+from maniplexes.graphs import extensions, join, orbit
 import oracles
 
 
@@ -86,6 +86,9 @@ def test_build_graph_rejects_multi_edge_with_witness():
 def test_build_graph_rejects_out_of_range_entry():
     with pytest.raises(OutOfRange):
         build_graph(1, [[99, 0]])
+    with pytest.raises(OutOfRange, match="colour 1 maps flag 0 to -1") as exc:
+        build_graph(2, [[1, 0], [-1, 0]])
+    assert exc.value.colour == 1
 
 
 def test_build_graph_rejects_a_non_integer_rank():
@@ -104,6 +107,27 @@ def test_error_scan_order_is_colour_major():
     with pytest.raises(FixedPoint) as exc:
         build_graph(2, [[1, 0, 2, 3], [0, 1, 3, 2]])
     assert exc.value.colour == 0 and exc.value.flag == 2
+
+
+# -- breadth-first numbering ---------------------------------------------------
+
+
+def test_orbit_numbers_states_breadth_first_with_colours_ascending():
+    calls = []
+
+    def step(c, x):
+        calls.append((c, x))
+        return (2 * x + c) % 7
+
+    order, rows = orbit(1, step, 2)
+    assert order == [1, 2, 3, 4, 5, 6, 0]
+    assert rows == [[1, 3, 5, 0, 2, 4, 6], [2, 4, 6, 1, 3, 5, 0]]
+    # each step once, colour-major within a state
+    assert calls == [(c, x) for x in order for c in range(2)]
+
+
+def test_orbit_of_a_fixed_state_is_that_state():
+    assert orbit("s", lambda c, x: x, 3) == (["s"], [[0], [0], [0]])
 
 
 # -- components / partitions ---------------------------------------------------

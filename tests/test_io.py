@@ -66,6 +66,12 @@ def test_read_fixture_file_is_the_expected_torus():
         ("mpx 99 2\n", 1, "rank 99 not in range 1..64"),
         ("mpx 65 2\n1 0\n", 1, "rank 65 not in range 1..64"),
         ("mpx -1 2\n", 1, "rank -1 not in range 1..64"),
+        ("mpx 2 2\n1 0\n-1 0\n", 3, "colour 1 maps flag 0 to -1, outside 0..1"),
+        ("mpx 2 2\n1 0\n5 0\n", 3, "colour 1 maps flag 0 to 5, outside 0..1"),
+        ("mpx x 2", 1, "integers"),
+        ("mpx 1 2\n1 0\n1 0\n", 3, "more than the declared"),
+        ("# only", 1, "missing"),
+        ("mpx 2 4\n1 0 3 2\n1 0 3 2\n", 3, "agree"),
     ],
 )
 def test_read_rejects_malformed_input(text, line, fragment):

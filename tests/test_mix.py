@@ -15,6 +15,7 @@ from maniplexes import (
     is_polytopal,
     klein_44,
     mix,
+    mix_with_projections,
     polygon,
     torus_44,
 )
@@ -159,29 +160,54 @@ def test_no_covering_although_the_sizes_divide():
     assert oracles.find_covering(t30, k) is None
 
 
+def _by_rank(corpus):
+    by_rank = {}
+    for s in corpus:
+        by_rank.setdefault(s.maniplex.rank, []).append((s.seed, s.maniplex))
+    return by_rank
+
+
+def _mix_sweep(all_fixtures, corpus):
+    """Equal-rank pairs of fixtures up to 32 flags and of consecutive corpus
+    samples, each through the base pairs (0, 0) and (last, middle)."""
+    small = [(a, m) for a, m in all_fixtures.items() if m.size <= 32]
+    mixed = list(product(small, repeat=2))
+    for samples in _by_rank(corpus).values():
+        mixed += zip(samples[:20], samples[1:21])
+    return [
+        ((a, m), (b, n), bases)
+        for (a, m), (b, n) in mixed
+        if m.rank == n.rank
+        for bases in ((0, 0), (m.size - 1, n.size // 2))
+    ]
+
+
+def test_mix_matches_the_two_pass_oracle(all_fixtures, corpus):
+    """The mix and both projections are the former numbering's, pair for
+    pair: breadth-first from the base pair, colours ascending."""
+    for (a, m), (b, n), bases in _mix_sweep(all_fixtures, corpus):
+        got = mix_with_projections(m, n, *bases)
+        want = oracles.mix_with_projections(m, n, *bases)
+        assert got[0].graph == want[0].graph, (a, b, bases)
+        assert got[1:] == want[1:], (a, b, bases)
+
+
 def test_searches_match_the_unpruned_oracles(all_fixtures, corpus):
     """Pruned anchors never change a map or a ``None``: equal-rank pairs of
     fixtures and of corpus samples, relabelled copies both ways, and mixes
     through two base pairs against their factors and a relabelled factor."""
     named = list(all_fixtures.items())
     small = [(a, m) for a, m in named if m.size <= 64]
-    by_rank = {}
-    for s in corpus:
-        by_rank.setdefault(s.maniplex.rank, []).append((s.seed, s.maniplex))
     pairs = list(product(named, repeat=2))
-    mixed = list(product([x for x in small if x[1].size <= 32], repeat=2))
-    for samples in by_rank.values():
+    for samples in _by_rank(corpus).values():
         pairs += product(samples[:25], repeat=2)
-        mixed += zip(samples[:20], samples[1:21])
     for a, m in small + [(s.seed, s.maniplex) for s in corpus[:200]]:
         r = (f"{a} relabelled", relabelled(m, 1))
         pairs += [((a, m), r), (r, (a, m))]
-    for (a, m), (b, n) in mixed:
-        if m.rank == n.rank:
-            for bases in ((0, 0), (m.size - 1, n.size // 2)):
-                mx = (f"{a} mix {b} at {bases}", mix(m, n, *bases))
-                factors = [(a, m), (b, n), (f"{b} relabelled", relabelled(n, 2))]
-                pairs += [(mx, f) for f in factors]
+    for (a, m), (b, n), bases in _mix_sweep(all_fixtures, corpus):
+        mx = (f"{a} mix {b} at {bases}", mix(m, n, *bases))
+        factors = [(a, m), (b, n), (f"{b} relabelled", relabelled(n, 2))]
+        pairs += [(mx, f) for f in factors]
     for (a, m), (b, n) in pairs:
         if m.rank == n.rank:
             g, h = m.graph, n.graph

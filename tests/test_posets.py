@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -29,7 +32,7 @@ from maniplexes import (
     uniform_chain_length,
 )
 from maniplexes.errors import NoFlagSets, NotAChain, NotComparable, OutOfRange
-from conftest import ALT_3TORUS_BASIS, torus11_times_bits
+from conftest import ALT_3TORUS_BASIS, relabelled, torus11_times_bits
 from oracles import faithful_by_chain_count, faithful_by_enumeration
 
 
@@ -689,6 +692,54 @@ def test_poset_isomorphism_respects_order():
     for a in refs:
         for b in refs:
             assert p.leq(a, b) == q.leq(iso[a], iso[b])
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise ``TimeoutError`` in the body after ``seconds``, so that a search
+    that cannot answer fails instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: torus_44(4, 0), lambda: hypercube(4)],
+    ids=["torus44(4,0)", "hypercube(4)"],
+)
+def test_poset_isomorphism_of_a_relabelled_copy_respects_order(make):
+    # every vertex of one rank constrains nothing, so mapping rank by rank
+    # tried every vertex assignment before an edge could rule one out
+    m = make()
+    p, q = induced_poset(m), induced_poset(relabelled(m, 7))
+    with _deadline(10):
+        iso = poset_isomorphic(p, q)
+    assert iso is not None
+    refs = _all_refs(p)
+    assert sorted(iso) == sorted(refs)
+    assert len(set(iso.values())) == len(refs)
+    for a in refs:
+        assert iso[a][0] == a[0]
+        for b in refs:
+            assert p.leq(a, b) == q.leq(iso[a], iso[b])
+
+
+def test_poset_isomorphism_needs_no_recursion_per_element():
+    # 1156 proper elements, more than the default recursion limit
+    p = induced_poset(torus_44(17, 0))
+    with _deadline(30):
+        iso = poset_isomorphic(p, p)
+    assert iso is not None
+    assert len(iso) == sum(p.counts()) + 2
 
 
 def test_different_posets_are_not_isomorphic():
