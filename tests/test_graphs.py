@@ -124,9 +124,6 @@ def test_orbit_numbers_states_breadth_first_with_colours_ascending():
     assert rows == [[1, 3, 5, 0, 2, 4, 6], [2, 4, 6, 1, 3, 5, 0]]
     # each step once, colour-major within a state
     assert calls == [(c, x) for x in order for c in range(2)]
-
-
-def test_orbit_of_a_fixed_state_is_that_state():
     assert orbit("s", lambda c, x: x, 3) == (["s"], [[0], [0], [0]])
 
 
