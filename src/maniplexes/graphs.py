@@ -151,24 +151,40 @@ class Partition:
     Block ids are assigned by first appearance, so two partitions are equal
     iff their id arrays are equal; no normalisation pass is ever needed.
     Any hashable labels are relabelled that way.  A builder whose ids are
-    already canonical passes their block count as ``_count`` and skips the
-    relabelling.
+    already canonical passes ``_reps``, the smallest flag of each block, and
+    skips the relabelling.
     """
 
-    __slots__ = ("size", "ids", "_count", "_blocks")
+    __slots__ = ("size", "ids", "_count", "_reps", "_blocks")
 
-    def __init__(self, ids: Iterable[Hashable], *, _count: Optional[int] = None):
-        if _count is None:
+    def __init__(
+        self, ids: Iterable[Hashable], *, _reps: Optional[Sequence[int]] = None
+    ):
+        if _reps is None:
             relabel: dict[Hashable, int] = {}
             ids = [relabel.setdefault(x, len(relabel)) for x in ids]
-            _count = len(relabel)
+            self._count = len(relabel)
+        else:
+            self._count = len(_reps)
         self.ids = tuple(ids)
         self.size = len(self.ids)
-        self._count = _count
+        self._reps = _reps
         self._blocks: Optional[tuple[tuple[int, ...], ...]] = None
 
     def block_count(self) -> int:
         return self._count
+
+    @property
+    def reps(self) -> Sequence[int]:
+        """The smallest flag of each block, in block order."""
+        if self._reps is None:
+            # Ids appear in ascending order, so each search starts at the last.
+            reps, v = [], 0
+            for b in range(self._count):
+                v = self.ids.index(b, v)
+                reps.append(v)
+            self._reps = reps
+        return self._reps
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Blocks as ascending tuples, ordered by their smallest element."""
@@ -198,17 +214,54 @@ class Partition:
         return f"Partition({self.block_count()} blocks on {self.size} flags)"
 
 
-def join(part: Partition, row: Sequence[int]) -> Partition:
-    """``part`` with the blocks of ``v`` and ``row[v]`` merged for every
-    ``v`` in ``range(part.size)``; ``part`` itself when nothing merges.
+def discrete(size: int) -> Partition:
+    """The partition of ``range(size)`` into singletons."""
+    return Partition(range(size), _reps=range(size))
+
+
+def gather(indices: Sequence[int]) -> Callable[[Sequence[Any]], tuple]:
+    """``operator.itemgetter(*indices)``, returning a tuple for any number
+    of indices: a bare itemgetter returns one item alone and takes no
+    empty index list."""
+    if len(indices) > 1:
+        return operator.itemgetter(*indices)
+    if indices:
+        i = indices[0]
+        return lambda seq: (seq[i],)
+    return lambda seq: ()
+
+
+Edges = Callable[[Sequence[int]], Iterable[tuple[int, int]]]
+
+
+def edge_gather(row: Sequence[int]) -> Edges:
+    """The pairs of ``row`` as a gather: given block ids, it yields
+    ``(ids[v], ids[row[v]])`` for every ``v`` with ``row[v] < v`` or
+    ``row[row[v]] != v``.
+
+    Every pair ``{v, row[v]}`` with ``row[v] != v`` is read from at least
+    one of its ends: a ``v`` below ``row[v]`` is skipped only when
+    ``row[v]`` maps back to it.  So an involution's edges are read once
+    each, as is a map with ``row[v] <= v``, while an arbitrary map may pass
+    a pair twice.
+    """
+    src = [v for v, w in enumerate(row) if w < v or row[w] != v]
+    lo, hi = gather(src), gather([row[v] for v in src])
+    return lambda ids: zip(lo(ids), hi(ids))
+
+
+def join(part: Partition, edges: Edges) -> Partition:
+    """``part`` with the two blocks of every pair that ``edges``, an
+    :func:`edge_gather`, reads from its ids merged; ``part`` itself when
+    nothing merges.
 
     The union runs on block ids and keeps the smaller id as the root.  Blocks
     are ordered by smallest flag, so numbering the roots in block order keeps
-    the ids canonical.
+    the ids canonical, and each root keeps its block's smallest flag.
     """
     ids = part.ids
     parent = list(range(part.block_count()))
-    for a, b in set(zip(ids, map(ids.__getitem__, row))):
+    for a, b in set(edges(ids)):
         while a != parent[a]:
             parent[a] = a = parent[parent[a]]
         while b != parent[b]:
@@ -219,16 +272,17 @@ def join(part: Partition, row: Sequence[int]) -> Partition:
             parent[a] = b
     # Every parent sits below its child, so new[up] already names the root.
     new: list[int] = []
-    count = 0
+    reps: list[int] = []
+    old = part.reps
     for x, up in enumerate(parent):
         if up == x:
-            new.append(count)
-            count += 1
+            new.append(len(reps))
+            reps.append(old[x])
         else:
             new.append(new[up])
-    if count == len(parent):
+    if len(reps) == len(parent):
         return part
-    return Partition(tuple(map(new.__getitem__, ids)), _count=count)
+    return Partition(gather(ids)(new), _reps=reps)
 
 
 def components(graph: ColouredGraph, colours: Iterable[int]) -> Partition:
@@ -236,9 +290,9 @@ def components(graph: ColouredGraph, colours: Iterable[int]) -> Partition:
     cols = sorted(
         {index_in_range(c, graph.rank, OutOfRange, "colour") for c in colours}
     )
-    part = Partition(range(graph.size), _count=graph.size)
+    part = discrete(graph.size)
     for c in cols:
-        part = join(part, graph.matchings[c])
+        part = join(part, edge_gather(graph.matchings[c]))
     return part
 
 

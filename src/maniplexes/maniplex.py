@@ -24,8 +24,11 @@ from .errors import (
 )
 from .graphs import (
     ColouredGraph,
+    Edges,
     Partition,
     build_graph,
+    discrete,
+    edge_gather,
     index_in_range,
     join,
 )
@@ -80,14 +83,16 @@ class Maniplex:
 
     Raises :class:`Disconnected` or :class:`BadTwoFactor` (first offending
     colour pair and flag in scan order) when the axioms fail.  Component
-    partitions are cached per colour subset.
+    partitions are cached per colour subset, and each colour's
+    :func:`~maniplexes.graphs.edge_gather` from its first join on.
     """
 
     def __init__(self, graph: ColouredGraph):
         self.graph = graph
         self.rank = graph.rank
         self.size = graph.size
-        self._parts = {0: Partition(range(self.size), _count=self.size)}
+        self._parts = {0: discrete(self.size)}
+        self._edges: list[Optional[Edges]] = [None] * self.rank
         self._faces: dict[int, tuple[Face, ...]] = {}
         self._validate()
 
@@ -121,7 +126,10 @@ class Maniplex:
         if part is None:
             top = mask.bit_length() - 1
             prefix = self._components(mask ^ (1 << top))
-            part = self._parts[mask] = join(prefix, self.graph.matchings[top])
+            edges = self._edges[top]
+            if edges is None:
+                edges = self._edges[top] = edge_gather(self.graph.matchings[top])
+            part = self._parts[mask] = join(prefix, edges)
         return part
 
     def _face_rank(self, i: int) -> int:

@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import InconsistentVerdicts, ManiplexError, NotAPolytope
-from .graphs import build_graph, partition_meet, split_pair
+from .graphs import build_graph, gather, partition_meet, split_pair
 from .maniplex import Maniplex
 from .posets import (
     CheckResult,
@@ -95,9 +95,13 @@ def _colours(mask: int) -> tuple[int, ...]:
 def _split(m: Maniplex, a: int, b: int) -> Optional[tuple[int, int]]:
     """``None`` when the components over colour masks ``a`` and ``b`` meet in
     those over ``a & b``, else the first flag pair the meet joins wrongly.
-    The latter refine both sides, so equal block counts mean equality."""
+
+    The latter refine both sides, so equal block counts mean equality, and
+    every flag has the pair of ids of its block's smallest flag there: the
+    meet's blocks are counted at the target's smallest flags alone."""
     pa, pb, target = m._components(a), m._components(b), m._components(a & b)
-    if len(set(zip(pa.ids, pb.ids))) == target.block_count():
+    at = gather(target.reps)
+    if len(set(zip(at(pa.ids), at(pb.ids)))) == target.block_count():
         return None
     return split_pair(partition_meet(pa, pb), target)
 

@@ -18,7 +18,14 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InconsistentVerdicts, NoFlagSets, NotAChain, NotComparable
 from .errors import OutOfRange
-from .graphs import Partition, index_in_range, join, split_pair
+from .graphs import (
+    Partition,
+    discrete,
+    edge_gather,
+    index_in_range,
+    join,
+    split_pair,
+)
 from .maniplex import Face, Maniplex
 
 Ref = tuple[int, int]
@@ -362,16 +369,17 @@ def strong_flag_connectivity(p: InducedPoset) -> CheckResult:
     of a failing interval.
     """
     chains = p._chain_tuples()
-    # rep[b][t]: the first chain equal to chain t except at rank b
+    # rep[b] gathers the map from chain t to the first chain equal to it
+    # except at rank b; that chain never comes after t, so the gather reads
+    # only the chains the map moves.
     rep = []
     for b in range(p.n):
         first: dict[tuple[int, ...], int] = {}
         keys = (ch[:b] + ch[b + 1 :] for ch in chains)
-        rep.append([first.setdefault(k, t) for t, k in enumerate(keys)])
+        rep.append(edge_gather([first.setdefault(k, t) for t, k in enumerate(keys)]))
     pairs: list[tuple[int, int]] = []
-    discrete = Partition(range(len(chains)), _count=len(chains))
     for a in range(p.n - 1):
-        comps = join(discrete, rep[a])
+        comps = join(discrete(len(chains)), rep[a])
         for b in range(a + 1, p.n):
             comps = join(comps, rep[b])
             classes = Partition([ch[:a] + ch[b + 1 :] for ch in chains])

@@ -21,8 +21,10 @@ per subset of ranks, then every chain pair judged in the group of the ranks
 where the two agree.  ``strong_flag_connectivity_by_spans`` is the
 library's former check, kept verbatim to pin its verdict and witness: a
 union-find per span of positions in the chains padded with their improper
-ends, one keyed pass per interior position.  ``check_cip``, ``check_wpip``
-and ``check_spip`` are the three partition criteria as separate
+ends, one keyed pass per interior position.  ``split`` is the
+library's former intersection test, which counted the meet's blocks over
+every flag instead of at the target's smallest flags.  ``check_cip``,
+``check_wpip`` and ``check_spip`` are the three partition criteria as separate
 meet-and-compare loops: CIP meets all ``|S|`` single-colour-removed
 partitions of each subset, and SPIP above rank 6 translates the interval
 witness.  ``are_isomorphic`` and ``find_covering`` are the library's former
@@ -373,6 +375,18 @@ def strong_flag_connectivity_by_spans(p: InducedPoset) -> CheckResult:
     t1, t2 = min(pairs)
     chain_list = p.maximal_chains()
     return CheckResult(False, (chain_list[t1], chain_list[t2]))
+
+
+def split(
+    pa: Partition, pb: Partition, target: Partition
+) -> Optional[tuple[int, int]]:
+    """The library's former intersection test, at the flag level: ``None``
+    when the distinct pairs of ``pa`` and ``pb`` ids over every flag are as
+    many as ``target``'s blocks, else the first pair that ``split_pair``
+    finds between their meet and ``target``.  ``target`` refines both."""
+    if len(set(zip(pa.ids, pb.ids))) == target.block_count():
+        return None
+    return split_pair(partition_meet(pa, pb), target)
 
 
 def check_cip(m: Maniplex) -> CheckResult:

@@ -107,6 +107,26 @@ def test_check_json_matches_sfc_failure_golden(tmp_path, flags):
     assert json.loads(r.stdout)["poset"]["strong_flag_connected"]["holds"] is False
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimised"])
+@pytest.mark.parametrize(
+    "name, code", [("segment", 0), ("torus11_times_bits4", 1)]
+)
+def test_check_json_of_gather_edge_cases_matches_golden(tmp_path, name, code, flags):
+    # the rank-1 segment joins one pair per colour; torus11_times_bits(4)
+    # fails at a window of rank 7, above SPIP's exhaustive ranks
+    from conftest import torus11_times_bits
+    from maniplexes import write_mpx
+
+    f = tmp_path / f"{name}.mpx"
+    if name == "segment":
+        f.write_text("mpx 1 2\n1 0\n")
+    else:
+        f.write_text(write_mpx(torus11_times_bits(4).graph))
+    r = run("check", "--json", f, flags=flags)
+    assert r.returncode == code
+    assert r.stdout == (GOLDEN / f"{name}.json").read_text()
+
+
 def test_missing_file_exits_66():
     r = run("check", "/no/such/file.mpx")
     assert r.returncode == 66

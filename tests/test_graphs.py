@@ -30,7 +30,7 @@ from maniplexes.errors import (
     OutOfRange,
     SizeMismatch,
 )
-from maniplexes.graphs import extensions, join, orbit
+from maniplexes.graphs import discrete, edge_gather, extensions, gather, join, orbit
 import oracles
 
 
@@ -194,17 +194,61 @@ def test_partition_value_equality_is_canonical():
 @given(st.data())
 def test_join_folds_match_the_union_find_oracle(data):
     """Folding ``join`` over arbitrary maps on the flags, not only
-    involutions, gives the oracle's components id for id."""
+    involutions, gives the oracle's components id for id, each block's
+    smallest flag as its representative."""
     size = data.draw(st.integers(1, 12))
     rows = data.draw(
         st.lists(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
     )
     graph = ColouredGraph(len(rows), size, tuple(map(tuple, rows)))
-    part = Partition(range(size), _count=size)
+    part = discrete(size)
     for row in rows:
-        part = join(part, row)
+        part = join(part, edge_gather(row))
     want = oracles.components(graph, range(len(rows)))
     assert (part.ids, part.block_count()) == (want.ids, want.block_count())
+    assert list(part.reps) == [b[0] for b in want.blocks()]
+
+
+def test_gather_returns_a_tuple_for_none_one_and_many_indices():
+    assert gather([])("abc") == ()
+    assert gather([2])("abc") == ("c",)
+    assert gather([2, 0])("abc") == ("c", "a")
+
+
+def test_edge_gather_reads_each_edge_of_an_involution_once():
+    row = polygon(4).graph.matchings[0]
+    pairs = list(edge_gather(row)(range(len(row))))
+    edges = {frozenset((v, w)) for v, w in enumerate(row)}
+    assert len(pairs) == len(edges) == len(row) // 2
+    assert set(map(frozenset, pairs)) == edges
+    assert all(a > b for a, b in pairs)
+
+
+def test_join_along_the_segment_reads_its_one_pair():
+    segment = discrete(2)
+    assert list(edge_gather([1, 0])(segment.ids)) == [(1, 0)]
+    part = join(segment, edge_gather([1, 0]))
+    assert (part.ids, list(part.reps)) == ((0, 0), [0])
+
+
+def test_join_along_an_identity_row_reads_no_pair_and_keeps_the_partition():
+    for part in (discrete(4), Partition([0, 1, 0, 2])):
+        edges = edge_gather(range(4))
+        assert list(edges(part.ids)) == []
+        assert join(part, edges) is part
+
+
+def test_edge_gather_of_an_arbitrary_map_reads_every_pair():
+    # 0 -> 2 -> 1 -> 1: neither an involution nor below the identity
+    row = [2, 1, 1]
+    assert sorted(edge_gather(row)(range(3))) == [(0, 2), (2, 1)]
+    assert join(discrete(3), edge_gather(row)).ids == (0, 0, 0)
+
+
+def test_a_one_block_partition_reads_ids_at_flag_0():
+    one = Partition("aaaa")
+    assert list(one.reps) == [0]
+    assert gather(one.reps)((7, 8, 9, 10)) == (7,)
 
 
 @st.composite
@@ -213,6 +257,13 @@ def partitions(draw, size=12):
     n_blocks = draw(st.integers(1, size))
     ids = [rng.randrange(n_blocks) for _ in range(size)]
     return Partition(ids)
+
+
+@given(partitions(), partitions())
+def test_relabelled_partitions_and_meets_carry_each_blocks_smallest_flag(p, q):
+    for part in (p, q, partition_meet(p, q)):
+        assert list(part.reps) == [b[0] for b in part.blocks()]
+        assert gather(part.reps)(part.ids) == tuple(range(part.block_count()))
 
 
 @given(partitions(), partitions())

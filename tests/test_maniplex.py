@@ -139,7 +139,7 @@ def test_components_of_rejects_a_non_integer_colour():
 def test_partitions_from_cached_prefixes_equal_graph_components(all_fixtures, corpus):
     """Each colour mask's partition, built from the mask without its top
     colour, equals the oracle's union-find over all of its colours, id for
-    id."""
+    id, and carries the smallest flag of each of the oracle's blocks."""
     inputs = list(all_fixtures.values()) + [s.maniplex for s in corpus]
     inputs += [bitflip(n) for n in range(2, 9)]
     inputs += [relabelled(m, seed) for seed, m in enumerate(inputs)]
@@ -150,6 +150,7 @@ def test_partitions_from_cached_prefixes_equal_graph_components(all_fixtures, co
             cols = [c for c in range(m.rank) if mask >> c & 1]
             got, want = fresh.components_of(cols), components(m.graph, cols)
             assert (got.ids, got.block_count()) == (want.ids, want.block_count())
+            assert list(got.reps) == [b[0] for b in want.blocks()]
     assert len(inputs) == 2 * (18 + 1000 + 7)
 
 

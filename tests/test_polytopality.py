@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from maniplexes import (
     CheckResult,
@@ -30,7 +33,7 @@ from maniplexes import (
 )
 from maniplexes.errors import InconsistentVerdicts, NotAPolytope
 from maniplexes.graphs import split_pair
-from maniplexes.polytopality import _certify_beta, _spip_pairs
+from maniplexes.polytopality import _certify_beta, _split, _spip_pairs
 from conftest import (
     ALT_3TORUS_BASIS,
     POLYTOPAL_NAMES,
@@ -187,6 +190,38 @@ def test_split_pair_of_equal_partitions_raises_a_typed_error():
     part = Partition([0, 0, 1, 1])
     with pytest.raises(InconsistentVerdicts):
         split_pair(part, Partition([0, 0, 1, 1]))
+
+
+def test_split_at_representatives_matches_the_flag_level_oracle(
+    all_fixtures, corpus
+):
+    """The intersection test read at the target's smallest flags gives the
+    flag-level test's answer, ``None`` or the same flag pair, on every
+    incomparable colour-mask pair."""
+    inputs = list(all_fixtures.values()) + [s.maniplex for s in corpus]
+    inputs += [bitflip(n) for n in range(2, 7)] + [hypercube(3)]
+    seen = {"holds": 0, "fails": 0, "one-block target": 0}
+    for m in inputs:
+        for a, b in _spip_pairs(m.rank)[0]:
+            pa, pb, target = (m._components(x) for x in (a, b, a & b))
+            want = oracles.split(pa, pb, target)
+            assert _split(m, a, b) == want
+            seen["holds" if want is None else "fails"] += 1
+            seen["one-block target"] += target.block_count() == 1
+    assert all(seen.values()), seen
+
+
+@given(st.data())
+def test_split_matches_the_oracle_on_random_refining_triples(data):
+    size = data.draw(st.integers(1, 12))
+    labels = st.lists(st.integers(0, size - 1), min_size=size, max_size=size)
+    target = Partition(data.draw(labels))
+    # each side labels the target's blocks, so the target refines it
+    pa, pb = (
+        Partition(map(data.draw(labels).__getitem__, target.ids)) for _ in "ab"
+    )
+    m = SimpleNamespace(_components={1: pa, 2: pb, 0: target}.__getitem__)
+    assert _split(m, 1, 2) == oracles.split(pa, pb, target)
 
 
 def test_spip_delegation_translates_wpip_witness():
