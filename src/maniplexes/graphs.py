@@ -8,8 +8,9 @@ fixed-point-free involutions and no two colours agree at any flag.
 This module knows nothing about maniplexes; it provides the graph container,
 the one breadth-first numbering, :func:`orbit`, behind every graph built by
 rule from a base flag, component partitions grown by the one union-find
-:func:`join`, partition meets, and the one anchor search,
-:func:`extensions`, behind colour-preserving isomorphisms and coverings.
+:func:`join` along a map's :func:`edge_gather`, partition meets, and the one
+anchor search, :func:`extensions`, behind colour-preserving isomorphisms and
+coverings.
 """
 
 from __future__ import annotations
@@ -236,15 +237,10 @@ Edges = Callable[[Sequence[int]], Iterable[tuple[int, int]]]
 
 def edge_gather(row: Sequence[int]) -> Edges:
     """The pairs of ``row`` as a gather: given block ids, it yields
-    ``(ids[v], ids[row[v]])`` for every ``v`` with ``row[v] < v`` or
-    ``row[row[v]] != v``.
-
-    Every pair ``{v, row[v]}`` with ``row[v] != v`` is read from at least
-    one of its ends: a ``v`` below ``row[v]`` is skipped only when
-    ``row[v]`` maps back to it.  So an involution's edges are read once
-    each, as is a map with ``row[v] <= v``, while an arbitrary map may pass
-    a pair twice.
-    """
+    ``(ids[v], ids[row[v]])`` for each ``v`` with ``row[v] < v`` or
+    ``row[row[v]] != v``.  A ``v`` below ``row[v]`` is skipped only when
+    ``row[v]`` maps back to it, so every pair is read, and each edge of an
+    involution, or each move of a map with ``row[v] <= v``, just once."""
     src = [v for v, w in enumerate(row) if w < v or row[w] != v]
     lo, hi = gather(src), gather([row[v] for v in src])
     return lambda ids: zip(lo(ids), hi(ids))

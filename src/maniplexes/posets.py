@@ -18,14 +18,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InconsistentVerdicts, NoFlagSets, NotAChain, NotComparable
 from .errors import OutOfRange
-from .graphs import (
-    Partition,
-    discrete,
-    edge_gather,
-    index_in_range,
-    join,
-    split_pair,
-)
+from .graphs import Partition, discrete, edge_gather, index_in_range, join, split_pair
 from .maniplex import Face, Maniplex
 
 Ref = tuple[int, int]
