@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     BadTwoFactor,
@@ -24,7 +24,6 @@ from .errors import (
 )
 from .graphs import (
     ColouredGraph,
-    Edges,
     Partition,
     build_graph,
     discrete,
@@ -82,9 +81,9 @@ class Maniplex:
     """A validated maniplex over a properly coloured graph.
 
     Raises :class:`Disconnected` or :class:`BadTwoFactor` (first offending
-    colour pair and flag in scan order) when the axioms fail.  Component
-    partitions are cached per colour subset, and each colour's
-    :func:`~maniplexes.graphs.edge_gather` from its first join on.
+    colour pair and flag in scan order) when the axioms fail.  Each
+    colour's :func:`~maniplexes.graphs.edge_gather` is built with the
+    maniplex, and component partitions are cached per colour subset.
     """
 
     def __init__(self, graph: ColouredGraph):
@@ -92,7 +91,7 @@ class Maniplex:
         self.rank = graph.rank
         self.size = graph.size
         self._parts = {0: discrete(self.size)}
-        self._edges: list[Optional[Edges]] = [None] * self.rank
+        self._edges = [edge_gather(row) for row in graph.matchings]
         self._faces: dict[int, tuple[Face, ...]] = {}
         self._validate()
 
@@ -126,10 +125,7 @@ class Maniplex:
         if part is None:
             top = mask.bit_length() - 1
             prefix = self._components(mask ^ (1 << top))
-            edges = self._edges[top]
-            if edges is None:
-                edges = self._edges[top] = edge_gather(self.graph.matchings[top])
-            part = self._parts[mask] = join(prefix, edges)
+            part = self._parts[mask] = join(prefix, self._edges[top])
         return part
 
     def _face_rank(self, i: int) -> int:

@@ -140,6 +140,7 @@ def _plain(value: Any) -> Any:
 def report_to_dict(m: Maniplex, report: PolytopalityReport) -> dict[str, Any]:
     """The JSON-ready form of a polytopality report (schema
     ``maniplex-report/1``)."""
+    beta = report.flag_graph_isomorphism
     return {
         "schema": "maniplex-report/1",
         "rank": m.rank,
@@ -151,7 +152,7 @@ def report_to_dict(m: Maniplex, report: PolytopalityReport) -> dict[str, Any]:
         "poset": _plain(report.poset),
         "verdicts_consistent": report.verdicts_consistent,
         "polytopal": report.polytopal,
-        "flag_graph_isomorphism": _plain(report.flag_graph_isomorphism),
+        "flag_graph_isomorphism": None if beta is None else list(beta),
     }
 
 

@@ -316,16 +316,7 @@ def uniform_chain_length(p: InducedPoset) -> CheckResult:
     intermediate element one rank above the lower face.  The witness is the
     first such pair ``(a, b)`` in ref order.
     """
-    for a in p.refs(include_improper=True):
-        r = a[0] + 1
-        for s in range(r + 1, p.n + 1):
-            reached = {
-                l for mid in _above(p, a, r) for l in _above(p, (r, mid), s)
-            }
-            for l in _above(p, a, s):
-                if l not in reached:
-                    return CheckResult(False, (a, (s, l)))
-    return CheckResult(True)
+    return _sections(p)[0]
 
 
 def diamond(p: InducedPoset) -> CheckResult:
@@ -335,16 +326,7 @@ def diamond(p: InducedPoset) -> CheckResult:
     and ``F`` of rank ``i + 1`` there must be exactly two rank-``i`` faces
     between them.  The witness is the first ``(E, F, count)`` violation.
     """
-    for i in range(p.n):
-        for k in range(p.counts()[i - 1] if i > 0 else 1):
-            e = (i - 1, k)
-            between = Counter(
-                l for g in _above(p, e, i) for l in _above(p, (i, g), i + 1)
-            )
-            for l in _above(p, e, i + 1):
-                if between[l] != 2:
-                    return CheckResult(False, (e, (i + 1, l), between[l]))
-    return CheckResult(True)
+    return _sections(p)[1]
 
 
 def strong_flag_connectivity(p: InducedPoset) -> CheckResult:
@@ -386,20 +368,28 @@ def strong_flag_connectivity(p: InducedPoset) -> CheckResult:
     )
 
 
-def _sections_connected(p: InducedPoset) -> bool:
-    """Whether, for every ``f < g`` with a rank gap of three or more
-    (improper elements included), the elements strictly between them are
-    connected under consecutive-rank incidence.
+def _sections(p: InducedPoset) -> tuple[CheckResult, CheckResult, bool]:
+    """Uniform chain length, the diamond condition and whether every section
+    is connected, from one walk over each section's lowest rank.
 
-    On a poset with uniform chain length and the diamond condition (a
-    prepolytope) this is strong flag connectivity (McMullen & Schulte,
-    *Abstract Regular Polytopes*, 2A): a walk over faces, not chains.
-    There every element between ``f`` and ``g`` lies above one of the
-    lowest rank between them, and two of those below some ``h`` are
-    connected below ``h`` when the smaller section ``h/f`` is.  So every
-    section is connected exactly when, in every section, the elements of
-    the lowest rank are connected through those one rank up: the walk
-    visits those two ranks only.
+    The walk visits every ``f < g`` with a rank gap of two or more
+    (improper elements included), ``f`` in ref order and then ``g`` by rank
+    and index, and forms ``vs``, the elements of the lowest rank strictly
+    between them.  The first empty ``vs`` is the uniform chain length
+    witness ``(f, g)``, and the first of size other than two at a gap of
+    two is the diamond witness ``(f, g, len(vs))``.
+
+    On a poset with both (a prepolytope), strong flag connectivity holds
+    exactly when the elements strictly between every ``f < g`` with a gap
+    of three or more are connected under consecutive-rank incidence
+    (McMullen & Schulte, *Abstract Regular Polytopes*, 2A).  There every
+    element between ``f`` and ``g`` lies above one of ``vs``, and two of
+    those below some ``h`` are connected below ``h`` when the smaller
+    section ``h/f`` is.  So every section is connected exactly when, in
+    every section, ``vs`` is connected through the elements one rank up:
+    while neither check has failed, a gap of three or more walks those two
+    ranks.  The third answer is True only on a prepolytope whose sections
+    are all connected.
     """
     n = p.n
     # below[s][r][l]: the rank-r indices below (s, l), the transposed table
@@ -411,31 +401,35 @@ def _sections_connected(p: InducedPoset) -> bool:
             for k, ls in enumerate(p.up[r][s]):
                 for l in ls:
                     below[s][r][l].append(k)
+    uniform = dia = CheckResult(True)
+    connected = True
     for f in p.refs(include_improper=True):
         lo = f[0] + 1
-        if lo + 2 > n:
-            break  # refs come by rank, so no later f has a gap of three
-        ups, downs = p.up[lo][lo + 1], below[lo + 1][lo]
+        if lo >= n or not (uniform.holds or dia.holds):
+            break  # no later f has a gap of two (refs come by rank), or both failed
         low, next_up = set(_above(p, f, lo)), set(_above(p, f, lo + 1))
-        for s in range(lo + 2, n + 1):
+        for s in range(lo + 1, n + 1):
             for g in _above(p, f, s):
-                if s == n:
-                    vs, es = low, next_up
-                else:
-                    vs = low.intersection(below[s][lo][g])
-                    es = next_up.intersection(below[s][lo + 1][g])
-                v = min(vs)
-                seen, stack = {v}, [v]
-                while stack:
-                    for e in ups[stack.pop()]:
-                        if e in es:
-                            for w in downs[e]:
-                                if w in vs and w not in seen:
-                                    seen.add(w)
-                                    stack.append(w)
-                if len(seen) != len(vs):
-                    return False
-    return True
+                vs = low if s == n else low.intersection(below[s][lo][g])
+                if not vs and uniform.holds:
+                    uniform = CheckResult(False, (f, (s, g)))
+                if s == lo + 1:
+                    if len(vs) != 2 and dia.holds:
+                        dia = CheckResult(False, (f, (s, g), len(vs)))
+                elif connected and uniform.holds and dia.holds:
+                    ups, downs = p.up[lo][lo + 1], below[lo + 1][lo]
+                    es = next_up.intersection(below[s][lo + 1][g]) if s < n else next_up
+                    v = min(vs)
+                    seen, stack = {v}, [v]
+                    while stack:
+                        for e in ups[stack.pop()]:
+                            if e in es:
+                                for w in downs[e]:
+                                    if w in vs and w not in seen:
+                                        seen.add(w)
+                                        stack.append(w)
+                    connected = len(seen) == len(vs)
+    return uniform, dia, connected and uniform.holds and dia.holds
 
 
 def _chain_count(p: InducedPoset) -> int:
@@ -456,12 +450,8 @@ def _build_report(p: InducedPoset) -> PosetReport:
     """The poset checks.  A prepolytope whose sections are connected is
     strongly flag-connected; any other poset pays for its chains, which
     name the witness of a failure."""
-    uniform = uniform_chain_length(p)
-    dia = diamond(p)
-    if uniform.holds and dia.holds and _sections_connected(p):
-        sfc = CheckResult(True)
-    else:
-        sfc = strong_flag_connectivity(p)
+    uniform, dia, connected = _sections(p)
+    sfc = CheckResult(True) if connected else strong_flag_connectivity(p)
     faithful = is_faithful(p.source) if isinstance(p.source, Maniplex) else None
     return PosetReport(
         is_ranked_bounded=True,

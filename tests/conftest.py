@@ -70,6 +70,13 @@ def relabelled(m: Maniplex, seed: int) -> Maniplex:
     return Maniplex(build_graph(m.rank, rows))
 
 
+def dual(m: Maniplex) -> Maniplex:
+    """The colour-reversed maniplex: colour ``c`` becomes ``rank - 1 - c``.
+    Its faces of rank ``i`` are those of ``m`` of rank ``rank - 1 - i``, so
+    its induced poset is the dual of ``m``'s."""
+    return Maniplex(build_graph(m.rank, m.graph.matchings[::-1]))
+
+
 def oddball8() -> Maniplex:
     return Maniplex(build_graph(4, ODDBALL8_ROWS))
 

@@ -37,6 +37,7 @@ from maniplexes.polytopality import _certify_beta, _split, _spip_pairs
 from conftest import (
     ALT_3TORUS_BASIS,
     POLYTOPAL_NAMES,
+    dual,
     relabelled,
     torus11_times_bits,
 )
@@ -497,3 +498,42 @@ def test_certificate_refuses_a_report_that_cannot_make_beta_bijective():
     ):
         with pytest.raises(InconsistentVerdicts):
             _certify_beta(m, bad)
+
+
+# -- colour reversal --------------------------------------------------------------
+
+
+def _face_counts(m):
+    return [m.face_partition(i).block_count() for i in range(m.rank)]
+
+
+def _poset_verdicts(r):
+    return (
+        r.uniform_chain_length.holds,
+        r.diamond.holds,
+        r.strong_flag_connected.holds,
+        r.chain_count,
+    )
+
+
+def test_colour_reversal_maps_verdicts_and_failures(all_fixtures, corpus):
+    # The dual reverses every scan order: CIP's last colour, the windows and
+    # the poset walk, which visits each section's two lowest ranks.  First
+    # witnesses follow those orders, so only verdicts, counts and failure
+    # sets are compared; a window (l, h) fails exactly when (n-1-h, n-1-l)
+    # fails in the dual.
+    inputs = list(all_fixtures.items()) + [(s.seed, s.maniplex) for s in corpus]
+    inputs += [(f"bitflip({n})", bitflip(n)) for n in range(2, 9)]
+    inputs += [(f"times_bits({k})", torus11_times_bits(k)) for k in range(1, 4)]
+    polytopal = diamonds = 0
+    for label, m in inputs:
+        d, n = dual(m), m.rank
+        want, got = is_polytopal(m), is_polytopal(d)
+        assert got.polytopal == want.polytopal, label
+        assert _face_counts(d) == _face_counts(m)[::-1], label
+        assert _poset_verdicts(got.poset) == _poset_verdicts(want.poset), label
+        mapped = {(n - 1 - h, n - 1 - l) for l, h in want.wpip.failures}
+        assert set(got.wpip.failures) == mapped, label
+        polytopal += want.polytopal
+        diamonds += not want.poset.diamond.holds
+    assert (len(inputs), polytopal, diamonds) == (1028, 522, 505)

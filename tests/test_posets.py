@@ -207,16 +207,32 @@ def _is_prepolytope(r):
     return r.uniform_chain_length.holds and r.diamond.holds
 
 
+def _is_transitive(p):
+    """Whether the order table of ``p`` is transitive: whatever lies above
+    an element above ``(r, k)`` lies above ``(r, k)``.  Improper elements
+    bound everything, so proper ranks suffice."""
+    return all(
+        set(p.up[s][t][l]) <= set(p.up[r][t][k])
+        for r in range(p.n)
+        for s in range(r + 1, p.n)
+        for t in range(s + 1, p.n)
+        for k in range(p.counts()[r])
+        for l in p.up[r][s][k]
+    )
+
+
 def _assert_report_sfc(p, sfc, label):
     """The report of a fresh copy of ``p`` gives ``sfc``, the chain path's
     verdict and witness, deciding a prepolytope from its sections, and
     counts the chains the chain path enumerates.  A strongly flag-connected
-    prepolytope enumerates none.  Returns that report."""
+    prepolytope enumerates none when its order is transitive, as every
+    induced poset's is: the section walk assumes a poset.  Returns that
+    report."""
     fresh = InducedPoset(p.n, p.counts(), p.up, p.source)
     r = fresh.report()
     assert r.strong_flag_connected == sfc, label
     assert r.chain_count == len(p._chain_tuples()), label
-    if _is_prepolytope(r) and sfc.holds:
+    if _is_prepolytope(r) and sfc.holds and _is_transitive(p):
         assert fresh._chains is None, label
     return r
 
@@ -301,6 +317,9 @@ class FlagSetPoset(InducedPoset):
         return self.sets.universe
 
 
+UNIVERSE = frozenset(range(6))  # the flags of every hypothesis poset
+
+
 @st.composite
 def flag_set_posets(draw):
     """Small ranked posets on flags ``0..5`` ordered by flag-set intersection,
@@ -308,7 +327,7 @@ def flag_set_posets(draw):
     n = draw(st.integers(1, 4))
     subsets = st.frozensets(st.integers(0, 5), min_size=1)
     levels = [draw(st.lists(subsets, min_size=1, max_size=4)) for _ in range(n)]
-    return FlagSetPoset(oracles.FlagSets(n, levels, frozenset(range(6))))
+    return FlagSetPoset(oracles.FlagSets(n, levels, UNIVERSE))
 
 
 @given(flag_set_posets())
@@ -318,6 +337,21 @@ def test_table_checks_match_oracles_on_arbitrary_posets(p):
     # but it still derives them through the fake's own flags_of.
     for ends, s, s_sets in _sections(p, p.sets):
         _assert_flag_sets(s, s_sets, (p.sets.levels, ends))
+
+
+def test_intransitive_prepolytope_takes_the_chain_path():
+    # rank 0 face {1} lies below both rank-1 faces, which lie below both
+    # rank-2 faces, but not below those: the intersection order is not
+    # transitive, so connected sections do not decide strong flag
+    # connectivity, and the report asks the chains, which find it holds.
+    levels = [[{0}, {1}], [{0, 1}, {0, 1}], [{0}, {0}]]
+    sets = oracles.FlagSets(3, [list(map(frozenset, l)) for l in levels], UNIVERSE)
+    p = FlagSetPoset(sets)
+    assert not _is_transitive(p)
+    r = _assert_matches_oracles(p, levels, sets)
+    assert _is_prepolytope(r) and r.strong_flag_connected.holds
+    fresh = FlagSetPoset(sets)
+    assert fresh.report() == r and fresh._chains is not None
 
 
 # -- chains -----------------------------------------------------------------------
