@@ -317,9 +317,6 @@ class FlagSetPoset(InducedPoset):
         return self.sets.universe
 
 
-UNIVERSE = frozenset(range(6))  # the flags of every hypothesis poset
-
-
 @st.composite
 def flag_set_posets(draw):
     """Small ranked posets on flags ``0..5`` ordered by flag-set intersection,
@@ -327,7 +324,7 @@ def flag_set_posets(draw):
     n = draw(st.integers(1, 4))
     subsets = st.frozensets(st.integers(0, 5), min_size=1)
     levels = [draw(st.lists(subsets, min_size=1, max_size=4)) for _ in range(n)]
-    return FlagSetPoset(oracles.FlagSets(n, levels, UNIVERSE))
+    return FlagSetPoset(oracles.FlagSets(n, levels, frozenset(range(6))))
 
 
 @given(flag_set_posets())
@@ -345,7 +342,8 @@ def test_intransitive_prepolytope_takes_the_chain_path():
     # transitive, so connected sections do not decide strong flag
     # connectivity, and the report asks the chains, which find it holds.
     levels = [[{0}, {1}], [{0, 1}, {0, 1}], [{0}, {0}]]
-    sets = oracles.FlagSets(3, [list(map(frozenset, l)) for l in levels], UNIVERSE)
+    levels = [list(map(frozenset, level)) for level in levels]
+    sets = oracles.FlagSets(3, levels, frozenset(range(6)))
     p = FlagSetPoset(sets)
     assert not _is_transitive(p)
     r = _assert_matches_oracles(p, levels, sets)
