@@ -8,7 +8,8 @@ fixed-point-free involutions and no two colours agree at any flag.
 This module knows nothing about maniplexes; it provides the graph container,
 the one breadth-first numbering, :func:`orbit`, behind every graph built by
 rule from a base flag, component partitions grown by the one union-find
-:func:`join` along a map's :func:`edge_gather`, partition meets, and the one
+:func:`join` along a map's :func:`edge_gather` or, along a map that pairs
+whole blocks, by :func:`pair_join`, partition meets, and the one
 anchor search, :func:`extensions`, behind colour-preserving isomorphisms and
 coverings.
 """
@@ -277,6 +278,31 @@ def join(part: Partition, edges: Edges) -> Partition:
         else:
             new.append(new[up])
     if len(reps) == len(parent):
+        return part
+    return Partition(gather(ids)(new), _reps=reps)
+
+
+def pair_join(part: Partition, row: Sequence[int]) -> Partition:
+    """``part`` with each block merged with the block that ``row`` sends its
+    smallest flag into; ``part`` itself when every block goes to itself.
+
+    ``row`` must map every block onto one block and be an involution on
+    blocks, as a colour does on the components over colours it commutes
+    with (or on singletons).  Then each merged block is a pair, read at the
+    representatives alone, with no union-find: the smaller id is the root,
+    so numbering the roots in block order keeps the ids canonical and each
+    root keeps its block's smallest flag.
+    """
+    ids, old = part.ids, part.reps
+    new: list[int] = []
+    reps: list[int] = []
+    for b, t in enumerate(gather(gather(old)(row))(ids)):
+        if t < b:
+            new.append(new[t])
+        else:
+            new.append(len(reps))
+            reps.append(old[b])
+    if len(reps) == len(new):
         return part
     return Partition(gather(ids)(new), _reps=reps)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     BadTwoFactor,
@@ -24,12 +24,14 @@ from .errors import (
 )
 from .graphs import (
     ColouredGraph,
+    Edges,
     Partition,
     build_graph,
     discrete,
     edge_gather,
     index_in_range,
     join,
+    pair_join,
 )
 
 
@@ -81,9 +83,10 @@ class Maniplex:
     """A validated maniplex over a properly coloured graph.
 
     Raises :class:`Disconnected` or :class:`BadTwoFactor` (first offending
-    colour pair and flag in scan order) when the axioms fail.  Each
-    colour's :func:`~maniplexes.graphs.edge_gather` is built with the
-    maniplex, and component partitions are cached per colour subset.
+    colour pair and flag in scan order) when the axioms fail.  Component
+    partitions are cached per colour subset, and each colour's
+    :func:`~maniplexes.graphs.edge_gather` is built on its first
+    :func:`~maniplexes.graphs.join`.
     """
 
     def __init__(self, graph: ColouredGraph):
@@ -91,7 +94,7 @@ class Maniplex:
         self.rank = graph.rank
         self.size = graph.size
         self._parts = {0: discrete(self.size)}
-        self._edges = [edge_gather(row) for row in graph.matchings]
+        self._edges: list[Optional[Edges]] = [None] * self.rank
         self._faces: dict[int, tuple[Face, ...]] = {}
         self._validate()
 
@@ -118,14 +121,31 @@ class Maniplex:
         return self._components(mask)
 
     def _components(self, mask: int) -> Partition:
-        """Cached components over the colours in ``mask``: those over
-        ``mask`` without its top colour, joined along that colour's
-        matching."""
+        """Cached components over the colours in ``mask``.
+
+        A colour of ``mask`` with neither neighbour in it commutes with the
+        rest of ``mask``, so it maps each component over the rest onto one
+        component: the lowest such colour pairs the blocks over ``mask``
+        without it (:func:`~maniplexes.graphs.pair_join`).  Any other mask
+        joins those over ``mask`` without its top colour along that colour.
+        Validation reaches a lone colour only at mask 1, from singletons,
+        so it does not rely on the axiom it checks.
+        """
         part = self._parts.get(mask)
         if part is None:
-            top = mask.bit_length() - 1
-            prefix = self._components(mask ^ (1 << top))
-            part = self._parts[mask] = join(prefix, self._edges[top])
+            lone = mask & ~(mask << 1) & ~(mask >> 1)
+            if lone:
+                c = (lone & -lone).bit_length() - 1
+                prefix = self._components(mask ^ (1 << c))
+                part = pair_join(prefix, self.graph.matchings[c])
+            else:
+                top = mask.bit_length() - 1
+                prefix = self._components(mask ^ (1 << top))
+                edges = self._edges[top]
+                if edges is None:
+                    edges = self._edges[top] = edge_gather(self.graph.matchings[top])
+                part = join(prefix, edges)
+            self._parts[mask] = part
         return part
 
     def _face_rank(self, i: int) -> int:

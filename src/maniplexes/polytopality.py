@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import InconsistentVerdicts, ManiplexError, NotAPolytope
-from .graphs import build_graph, gather, partition_meet, split_pair
+from .graphs import build_graph, gather
 from .maniplex import Maniplex
 from .posets import (
     CheckResult,
@@ -98,12 +98,23 @@ def _split(m: Maniplex, a: int, b: int) -> Optional[tuple[int, int]]:
 
     The latter refine both sides, so equal block counts mean equality, and
     every flag has the pair of ids of its block's smallest flag there: the
-    meet's blocks are counted at the target's smallest flags alone."""
+    meet's blocks are counted at the target's smallest flags alone.  The
+    meet's first block holding two target blocks is the repeated id pair
+    seen first there; its smallest flag and the next target block's are
+    the pair, without building the meet."""
     pa, pb, target = m._components(a), m._components(b), m._components(a & b)
-    at = gather(target.reps)
+    reps = target.reps
+    at = gather(reps)
     if len(set(zip(at(pa.ids), at(pb.ids)))) == target.block_count():
         return None
-    return split_pair(partition_meet(pa, pb), target)
+    first: dict[tuple[int, int], int] = {}
+    second: dict[int, int] = {}
+    for j, key in enumerate(zip(at(pa.ids), at(pb.ids))):
+        i = first.setdefault(key, j)
+        if i != j:
+            second.setdefault(i, j)
+    i = min(second)
+    return reps[i], reps[second[i]]
 
 
 def _windows(n: int):

@@ -386,10 +386,11 @@ def _sections(p: InducedPoset) -> tuple[CheckResult, CheckResult, bool]:
     element between ``f`` and ``g`` lies above one of ``vs``, and two of
     those below some ``h`` are connected below ``h`` when the smaller
     section ``h/f`` is.  So every section is connected exactly when, in
-    every section, ``vs`` is connected through the elements one rank up:
-    while neither check has failed, a gap of three or more walks those two
-    ranks.  The third answer is True only on a prepolytope whose sections
-    are all connected.
+    every section, ``vs`` is connected through the elements one rank up.
+    The sections with a gap of three or more are collected while neither
+    check has failed, and walked over those two ranks only once both have
+    held to the end.  The third answer is True only on a prepolytope whose
+    sections are all connected.
     """
     n = p.n
     # below[s][r][l]: the rank-r indices below (s, l), the transposed table
@@ -402,7 +403,7 @@ def _sections(p: InducedPoset) -> tuple[CheckResult, CheckResult, bool]:
                 for l in ls:
                     below[s][r][l].append(k)
     uniform = dia = CheckResult(True)
-    connected = True
+    sections = []  # (lo, vs, next_up, s, g) of each gap of three or more
     for f in p.refs(include_improper=True):
         lo = f[0] + 1
         if lo >= n or not (uniform.holds or dia.holds):
@@ -416,20 +417,25 @@ def _sections(p: InducedPoset) -> tuple[CheckResult, CheckResult, bool]:
                 if s == lo + 1:
                     if len(vs) != 2 and dia.holds:
                         dia = CheckResult(False, (f, (s, g), len(vs)))
-                elif connected and uniform.holds and dia.holds:
-                    ups, downs = p.up[lo][lo + 1], below[lo + 1][lo]
-                    es = next_up.intersection(below[s][lo + 1][g]) if s < n else next_up
-                    v = min(vs)
-                    seen, stack = {v}, [v]
-                    while stack:
-                        for e in ups[stack.pop()]:
-                            if e in es:
-                                for w in downs[e]:
-                                    if w in vs and w not in seen:
-                                        seen.add(w)
-                                        stack.append(w)
-                    connected = len(seen) == len(vs)
-    return uniform, dia, connected and uniform.holds and dia.holds
+                elif uniform.holds and dia.holds:
+                    sections.append((lo, vs, next_up, s, g))
+    if not (uniform.holds and dia.holds):
+        return uniform, dia, False
+    for lo, vs, next_up, s, g in sections:
+        ups, downs = p.up[lo][lo + 1], below[lo + 1][lo]
+        es = next_up.intersection(below[s][lo + 1][g]) if s < n else next_up
+        v = min(vs)
+        seen, stack = {v}, [v]
+        while stack:
+            for e in ups[stack.pop()]:
+                if e in es:
+                    for w in downs[e]:
+                        if w in vs and w not in seen:
+                            seen.add(w)
+                            stack.append(w)
+        if len(seen) != len(vs):
+            return uniform, dia, False
+    return uniform, dia, True
 
 
 def _chain_count(p: InducedPoset) -> int:

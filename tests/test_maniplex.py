@@ -25,7 +25,9 @@ from maniplexes.errors import (
     PathUsesPivotColour,
     RankOutOfRange,
 )
-from conftest import ODDBALL8_ROWS, oddball8, relabelled
+from maniplexes import maniplex as maniplex_module
+from maniplexes.graphs import join
+from conftest import ODDBALL8_ROWS, dual, oddball8, relabelled, torus11_times_bits
 from oracles import components
 
 
@@ -60,6 +62,20 @@ def test_bad_two_factor_rejected_with_witness():
         validate(build_graph(3, [r0, r1, r2]))
     assert (exc.value.colour_i, exc.value.colour_j) == (0, 2)
     assert exc.value.flag == 0
+
+
+def test_disconnected_graph_breaking_the_axiom_is_reported_disconnected():
+    """Validation's chain of masks reaches a lone colour only at colour 0,
+    paired from singletons, so the components it reads are right even when
+    distant colours do not commute."""
+    n = 12
+    r0 = [v + 1 if v % 2 == 0 else v - 1 for v in range(n)]
+    r2 = [(v - 1) % n if v % 2 == 0 else (v + 1) % n for v in range(n)]
+    r1 = [(v + 6) % n for v in range(n)]
+    twice = [row + [w + n for w in row] for row in (r0, r1, r2)]
+    with pytest.raises(Disconnected) as exc:
+        validate(build_graph(3, twice))
+    assert (exc.value.flag_a, exc.value.flag_b) == (0, n)
 
 
 def test_commutation_of_distant_colours_holds_everywhere():
@@ -137,11 +153,16 @@ def test_components_of_rejects_a_non_integer_colour():
 
 
 def test_partitions_from_cached_prefixes_equal_graph_components(all_fixtures, corpus):
-    """Each colour mask's partition, built from the mask without its top
-    colour, equals the oracle's union-find over all of its colours, id for
-    id, and carries the smallest flag of each of the oracle's blocks."""
+    """Each colour mask's partition, built from a cached prefix mask (its
+    lowest colour with neither neighbour in the mask paired off, else its
+    top colour joined), equals the oracle's union-find over all of its
+    colours, id for id, and carries the smallest flag of each of the
+    oracle's blocks.  The lowest lone colour is not symmetric under colour
+    reversal, so the duals of the fixtures are built too."""
     inputs = list(all_fixtures.values()) + [s.maniplex for s in corpus]
     inputs += [bitflip(n) for n in range(2, 9)]
+    inputs += [dual(m) for m in all_fixtures.values()]
+    inputs += [torus11_times_bits(k) for k in range(1, 4)]
     inputs += [relabelled(m, seed) for seed, m in enumerate(inputs)]
     for m in inputs:
         fresh = Maniplex(m.graph)
@@ -151,7 +172,27 @@ def test_partitions_from_cached_prefixes_equal_graph_components(all_fixtures, co
             got, want = fresh.components_of(cols), components(m.graph, cols)
             assert (got.ids, got.block_count()) == (want.ids, want.block_count())
             assert list(got.reps) == [b[0] for b in want.blocks()]
-    assert len(inputs) == 2 * (18 + 1000 + 7)
+    assert len(inputs) == 2 * (18 + 1000 + 7 + 18 + 3)
+
+
+def test_bitflip8_joins_only_masks_without_a_lone_colour(monkeypatch):
+    """Of the 255 nonempty masks of rank 8, the 64 in which every colour
+    has a neighbour in the mask go through the union-find; the others pair
+    blocks, and colour 0's edge gather is never built."""
+    calls = []
+
+    def counting_join(part, edges):
+        calls.append(part)
+        return join(part, edges)
+
+    graph = bitflip(8).graph
+    monkeypatch.setattr(maniplex_module, "join", counting_join)
+    m = Maniplex(graph)
+    for mask in range(1, 1 << 8):
+        m._components(mask)
+    assert len(m._parts) == 256
+    assert len(calls) == 64
+    assert m._edges[0] is None
 
 
 def test_face_of_rank_out_of_range():
