@@ -134,16 +134,14 @@ class Maniplex:
         part = self._parts.get(mask)
         if part is None:
             lone = mask & ~(mask << 1) & ~(mask >> 1)
+            c = (lone & -lone if lone else mask).bit_length() - 1
+            prefix = self._components(mask ^ (1 << c))
             if lone:
-                c = (lone & -lone).bit_length() - 1
-                prefix = self._components(mask ^ (1 << c))
                 part = pair_join(prefix, self.graph.matchings[c])
             else:
-                top = mask.bit_length() - 1
-                prefix = self._components(mask ^ (1 << top))
-                edges = self._edges[top]
+                edges = self._edges[c]
                 if edges is None:
-                    edges = self._edges[top] = edge_gather(self.graph.matchings[top])
+                    edges = self._edges[c] = edge_gather(self.graph.matchings[c])
                 part = join(prefix, edges)
             self._parts[mask] = part
         return part

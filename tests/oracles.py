@@ -23,7 +23,8 @@ library's former check, kept verbatim to pin its verdict and witness: a
 union-find per span of positions in the chains padded with their improper
 ends, one keyed pass per interior position.  ``split`` is the
 library's former intersection test, which counted the meet's blocks over
-every flag instead of at the target's smallest flags.  ``check_cip``,
+every flag instead of at the target's smallest flags and named a failing
+pair with ``split_pair`` on the flag-level meet.  ``check_cip``,
 ``check_wpip`` and ``check_spip`` are the three partition criteria as separate
 meet-and-compare loops: CIP meets all ``|S|`` single-colour-removed
 partitions of each subset, and SPIP above rank 6 translates the interval

@@ -51,15 +51,18 @@ def test_disconnected_graph_rejected_with_witness():
     assert exc.value.flag_a == 0 and exc.value.flag_b in (4, 5, 6, 7)
 
 
-def test_bad_two_factor_rejected_with_witness():
-    # colours 0 and 2 drive a 12-cycle (never commute); colour 1 is the
-    # antipodal matching.
-    n = 12
+def _non_commuting_rows(n: int = 12) -> list[list[int]]:
+    """Colours 0 and 2 drive an ``n``-cycle (never commute); colour 1 is
+    the antipodal matching."""
     r0 = [v + 1 if v % 2 == 0 else v - 1 for v in range(n)]
     r2 = [(v - 1) % n if v % 2 == 0 else (v + 1) % n for v in range(n)]
-    r1 = [(v + 6) % n for v in range(n)]
+    r1 = [(v + n // 2) % n for v in range(n)]
+    return [r0, r1, r2]
+
+
+def test_bad_two_factor_rejected_with_witness():
     with pytest.raises(BadTwoFactor) as exc:
-        validate(build_graph(3, [r0, r1, r2]))
+        validate(build_graph(3, _non_commuting_rows()))
     assert (exc.value.colour_i, exc.value.colour_j) == (0, 2)
     assert exc.value.flag == 0
 
@@ -68,14 +71,10 @@ def test_disconnected_graph_breaking_the_axiom_is_reported_disconnected():
     """Validation's chain of masks reaches a lone colour only at colour 0,
     paired from singletons, so the components it reads are right even when
     distant colours do not commute."""
-    n = 12
-    r0 = [v + 1 if v % 2 == 0 else v - 1 for v in range(n)]
-    r2 = [(v - 1) % n if v % 2 == 0 else (v + 1) % n for v in range(n)]
-    r1 = [(v + 6) % n for v in range(n)]
-    twice = [row + [w + n for w in row] for row in (r0, r1, r2)]
+    twice = [row + [w + 12 for w in row] for row in _non_commuting_rows()]
     with pytest.raises(Disconnected) as exc:
         validate(build_graph(3, twice))
-    assert (exc.value.flag_a, exc.value.flag_b) == (0, n)
+    assert (exc.value.flag_a, exc.value.flag_b) == (0, 12)
 
 
 def test_commutation_of_distant_colours_holds_everywhere():
@@ -182,7 +181,7 @@ def test_bitflip8_joins_only_masks_without_a_lone_colour(monkeypatch):
     calls = []
 
     def counting_join(part, edges):
-        calls.append(part)
+        calls.append(edges)
         return join(part, edges)
 
     graph = bitflip(8).graph
