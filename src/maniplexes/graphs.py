@@ -95,6 +95,7 @@ def build_graph(rank: int, matchings: Sequence[Sequence[int]]) -> ColouredGraph:
     if size <= 0:
         raise OutOfRange("graph needs at least one flag")
     frozen: list[tuple[int, ...]] = []
+    ident = tuple(range(size))
     for c, row in enumerate(matchings):
         if len(row) != size:
             raise SizeMismatch(
@@ -104,6 +105,16 @@ def build_graph(rank: int, matchings: Sequence[Sequence[int]]) -> ColouredGraph:
             row = tuple(map(operator.index, row))
         except TypeError:
             raise OutOfRange(f"colour {c} has a non-integer entry") from None
+        frozen.append(row)
+        # Decide a fixed-point-free involution in C.  An entry of at least
+        # size raises IndexError; a negative entry w at v reads row[w + size],
+        # which breaks the involution at v or at w + size.  Only a failing
+        # row is scanned, for the first witness.
+        try:
+            if gather(row)(row) == ident and all(map(operator.ne, row, ident)):
+                continue
+        except IndexError:
+            pass
         for v in range(size):
             w = row[v]
             if not 0 <= w < size:
@@ -116,7 +127,6 @@ def build_graph(rank: int, matchings: Sequence[Sequence[int]]) -> ColouredGraph:
                 raise FixedPoint(c, v)
             if row[w] != v:
                 raise NotInvolution(c, v)
-        frozen.append(row)
     for c, d in combinations(range(rank), 2):
         if any(map(operator.eq, frozen[c], frozen[d])):
             v = next(v for v in range(size) if frozen[c][v] == frozen[d][v])
@@ -421,15 +431,19 @@ def _propagate(
     phi = [-1] * g.size
     phi[0] = anchor
     stack = [0]
+    pop, push = stack.pop, stack.append
+    rows = tuple(zip(g.matchings, h.matchings))
     while stack:
-        v = stack.pop()
-        for c in range(g.rank):
-            w = g.matchings[c][v]
-            img = h.matchings[c][phi[v]]
-            if phi[w] == -1:
+        v = pop()
+        t = phi[v]
+        for gm, hm in rows:
+            w = gm[v]
+            img = hm[t]
+            x = phi[w]
+            if x == -1:
                 phi[w] = img
-                stack.append(w)
-            elif phi[w] != img:
+                push(w)
+            elif x != img:
                 return None
     if -1 in phi:
         return None

@@ -29,6 +29,7 @@ from .graphs import (
     build_graph,
     discrete,
     edge_gather,
+    gather,
     index_in_range,
     join,
     pair_join,
@@ -104,12 +105,18 @@ class Maniplex:
         if full.block_count() > 1:
             other = next(v for v in g.flags() if not full.same_block(0, v))
             raise Disconnected(0, other)
+        # gathers[j](mi)[v] is mi[mj[v]]: colours i and j commute exactly
+        # when the two compositions agree.  Only a failing pair is scanned,
+        # for its first flag.
+        rows = g.matchings
+        gathers = [gather(row) for row in rows]
         for i in range(g.rank):
             for j in range(i + 2, g.rank):
-                mi, mj = g.matchings[i], g.matchings[j]
-                for v in g.flags():
-                    if mi[mj[v]] != mj[mi[v]]:
-                        raise BadTwoFactor(i, j, v)
+                mi, mj = rows[i], rows[j]
+                if gathers[j](mi) != gathers[i](mj):
+                    for v in g.flags():
+                        if mi[mj[v]] != mj[mi[v]]:
+                            raise BadTwoFactor(i, j, v)
 
     # -- components and faces -------------------------------------------------
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InconsistentVerdicts, OutOfRange, RankMismatch
-from .graphs import build_graph, extensions, index_in_range, orbit
+from .graphs import build_graph, extensions, gather, index_in_range, orbit
 from .maniplex import Maniplex
 
 
@@ -55,11 +55,11 @@ def is_covering(m: Maniplex, n: Maniplex, phi: tuple[int, ...]) -> bool:
     """Whether ``phi`` is a colour-preserving surjection from M onto N."""
     if m.rank != n.rank or len(phi) != m.size:
         return False
-    if any(not 0 <= t < n.size for t in phi):
+    if min(phi) < 0 or max(phi) >= n.size:
         return False
-    for c in range(m.rank):
-        mm, nn = m.graph.matchings[c], n.graph.matchings[c]
-        if any(phi[mm[v]] != nn[phi[v]] for v in range(m.size)):
+    at_phi = gather(phi)
+    for mm, nn in zip(m.graph.matchings, n.graph.matchings):
+        if gather(mm)(phi) != at_phi(nn):
             return False
     return len(set(phi)) == n.size
 

@@ -10,8 +10,10 @@ polytopality verdicts precomputed, shared by the equivalence suites.
 
 from __future__ import annotations
 
+import inspect
 import os
 import random
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,6 +77,39 @@ def dual(m: Maniplex) -> Maniplex:
     Its faces of rank ``i`` are those of ``m`` of rank ``rank - 1 - i``, so
     its induced poset is the dual of ``m``'s."""
     return Maniplex(build_graph(m.rank, m.graph.matchings[::-1]))
+
+
+def ditope(m: Maniplex, at_top: bool) -> Maniplex:
+    """Two copies of ``m``'s flags, ``v`` and ``v + size``, joined by a new
+    colour that swaps them: colour ``rank`` when ``at_top``, else colour 0,
+    with the old colours moved up by one.  The new colour commutes with
+    every colour, its faces at that end are the two copies, and the ditope
+    is polytopal exactly when ``m`` is."""
+    size = m.size
+    rows = [list(row) + [w + size for w in row] for row in m.graph.matchings]
+    swap = [v + size for v in range(size)] + list(range(size))
+    rows = rows + [swap] if at_top else [swap] + rows
+    return Maniplex(build_graph(m.rank + 1, rows))
+
+
+def lines_run(func, call) -> set[str]:
+    """The stripped source lines of ``func`` that ran while ``call()`` ran."""
+    code = func.__code__
+    source, first = inspect.getsourcelines(func)
+    seen: set[int] = set()
+
+    def in_func(frame, event, arg):
+        if event == "line":
+            seen.add(frame.f_lineno)
+        return in_func
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: in_func if frame.f_code is code else None)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return {source[n - first].strip() for n in seen}
 
 
 def oddball8() -> Maniplex:

@@ -31,15 +31,19 @@ partitions of each subset, and SPIP above rank 6 translates the interval
 witness.  ``are_isomorphic`` and ``find_covering`` are the library's former
 searches, kept verbatim: every flag of the target is tried as the image of
 flag 0, in ascending order, with no pruning, and ``are_isomorphic`` checks
-that both graphs are connected.  ``mix_with_projections`` is the library's
+that both graphs are connected.  ``build_graph`` and ``is_covering`` are
+the library's former validation and covering test, kept verbatim: they
+decide every row and every colour by a scan over the flags.
+``mix_with_projections`` is the library's
 former mix, kept verbatim: its own breadth-first numbering of flag pairs,
 then a second pass over every pair to fill the rows.
 """
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from maniplexes import (
     CheckResult,
@@ -54,22 +58,70 @@ from maniplexes import (
     WindowWitness,
     WpipResult,
     all_chains,
-    build_graph,
     chain_intersection,
     chain_of_flag,
     induced_poset,
     is_connected,
-    is_covering,
     meet_all,
     partition_meet,
 )
 from maniplexes.errors import (
     DisconnectedInput,
+    FixedPoint,
     InconsistentVerdicts,
+    MultiEdge,
+    NotInvolution,
     OutOfRange,
     RankMismatch,
+    SizeMismatch,
 )
-from maniplexes.graphs import index_in_range, split_pair
+from maniplexes.graphs import MAX_RANK, index_in_range, split_pair
+
+
+def build_graph(rank: int, matchings: Sequence[Sequence[int]]) -> ColouredGraph:
+    """Validate and freeze a properly coloured graph.
+
+    Raises, in canonical scan order (colour, then flag):
+    :class:`OutOfRange` for bad rank/size/entries, :class:`SizeMismatch` for
+    ragged rows, :class:`FixedPoint` / :class:`NotInvolution` for defective
+    matchings and :class:`MultiEdge` when two colours agree at a flag.
+    """
+    rank = index_in_range(rank, MAX_RANK + 1, OutOfRange, "rank", start=1)
+    if len(matchings) != rank:
+        raise SizeMismatch(
+            f"expected {rank} matchings, got {len(matchings)}"
+        )
+    size = len(matchings[0])
+    if size <= 0:
+        raise OutOfRange("graph needs at least one flag")
+    frozen: list[tuple[int, ...]] = []
+    for c, row in enumerate(matchings):
+        if len(row) != size:
+            raise SizeMismatch(
+                f"colour {c} has {len(row)} entries, expected {size}"
+            )
+        try:
+            row = tuple(map(operator.index, row))
+        except TypeError:
+            raise OutOfRange(f"colour {c} has a non-integer entry") from None
+        for v in range(size):
+            w = row[v]
+            if not 0 <= w < size:
+                err = OutOfRange(
+                    f"colour {c} maps flag {v} to {w}, outside 0..{size - 1}"
+                )
+                err.colour = c  # carried as FixedPoint does, for read_mpx
+                raise err
+            if w == v:
+                raise FixedPoint(c, v)
+            if row[w] != v:
+                raise NotInvolution(c, v)
+        frozen.append(row)
+    for c, d in combinations(range(rank), 2):
+        if any(map(operator.eq, frozen[c], frozen[d])):
+            v = next(v for v in range(size) if frozen[c][v] == frozen[d][v])
+            raise MultiEdge(c, d, v)
+    return ColouredGraph(rank=rank, size=size, matchings=tuple(frozen))
 
 
 def components(graph: ColouredGraph, colours: Iterable[int]) -> Partition:
@@ -494,6 +546,19 @@ def are_isomorphic(
         if phi is not None and len(set(phi)) == g.size:
             return phi
     return None
+
+
+def is_covering(m: Maniplex, n: Maniplex, phi: tuple[int, ...]) -> bool:
+    """Whether ``phi`` is a colour-preserving surjection from M onto N."""
+    if m.rank != n.rank or len(phi) != m.size:
+        return False
+    if any(not 0 <= t < n.size for t in phi):
+        return False
+    for c in range(m.rank):
+        mm, nn = m.graph.matchings[c], n.graph.matchings[c]
+        if any(phi[mm[v]] != nn[phi[v]] for v in range(m.size)):
+            return False
+    return len(set(phi)) == n.size
 
 
 def find_covering(m: Maniplex, n: Maniplex) -> Optional[CoveringMap]:

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import operator
 import random
+from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maniplexes import (
@@ -25,13 +26,23 @@ from maniplexes import (
 )
 from maniplexes.errors import (
     FixedPoint,
+    ManiplexError,
     MultiEdge,
     NotInvolution,
     OutOfRange,
     SizeMismatch,
 )
-from maniplexes.graphs import discrete, edge_gather, extensions, gather, join, orbit
+from maniplexes.graphs import (
+    _propagate,
+    discrete,
+    edge_gather,
+    extensions,
+    gather,
+    join,
+    orbit,
+)
 import oracles
+from conftest import lines_run, relabelled
 
 
 # -- build_graph validation ----------------------------------------------------
@@ -107,6 +118,77 @@ def test_error_scan_order_is_colour_major():
     with pytest.raises(FixedPoint) as exc:
         build_graph(2, [[1, 0, 2, 3], [0, 1, 3, 2]])
     assert exc.value.colour == 0 and exc.value.flag == 2
+
+
+def _outcome(build, rank, rows):
+    """The graph ``build`` returns, or the class, message and witness
+    attributes of what it raises."""
+    try:
+        return build(rank, rows)
+    except ManiplexError as exc:
+        witness = ("colour", "flag", "colour_a", "colour_b")
+        return type(exc), str(exc), [getattr(exc, a, None) for a in witness]
+
+
+def _involution(pairs):
+    row = [0] * (2 * len(pairs))
+    for a, b in pairs:
+        row[a], row[b] = b, a
+    return row
+
+
+@st.composite
+def matching_rows(draw):
+    """A rank, then rows that start clean (fixed-point-free involutions) and
+    may go bad later: entries drawn from ``-size-2..size+2``, or a clean row
+    with a few entries overwritten from that range."""
+    size = draw(st.sampled_from([2, 4, 6, 8]) | st.integers(1, 8))
+    rank = draw(st.integers(1, 4))
+    clean = draw(st.integers(0, rank)) if size % 2 == 0 else 0
+    entries = st.integers(-size - 2, size + 2)
+    rows = []
+    for c in range(rank):
+        if c < clean or size % 2 == 0 and draw(st.booleans()):
+            perm = draw(st.permutations(range(size)))
+            rows.append(_involution(list(zip(perm[::2], perm[1::2]))))
+            if c >= clean:
+                for _ in range(draw(st.integers(1, 2))):
+                    rows[-1][draw(st.integers(0, size - 1))] = draw(entries)
+        else:
+            rows.append(draw(st.lists(entries, min_size=size, max_size=size)))
+    return rank, rows
+
+
+@settings(max_examples=300)
+@given(matching_rows())
+def test_build_graph_matches_the_flag_scan_oracle(drawn):
+    """Both accept the same rows, or raise the same class and message with
+    the same colour and flag, including after clean rows."""
+    rank, rows = drawn
+    got = _outcome(build_graph, rank, rows)
+    assert got == _outcome(oracles.build_graph, rank, rows)
+
+
+def test_a_negative_entry_never_passes_the_involution_gather():
+    # Python reads row[w] for w < 0 as row[w + size]; every negative entry
+    # at every flag of a clean row must still be refused as the scan does.
+    for size in (2, 4, 6):
+        clean = [v ^ 1 for v in range(size)]
+        for v, w in product(range(size), range(-size, 0)):
+            row = clean[:v] + [w] + clean[v + 1 :]
+            got = _outcome(build_graph, 1, [row])
+            assert got == _outcome(oracles.build_graph, 1, [row])
+            assert not isinstance(got, ColouredGraph), row
+
+
+def test_build_graph_scans_flags_only_for_a_refused_row():
+    scan = "w = row[v]"
+    rows = hypercube(3).graph.matchings
+    assert scan not in lines_run(build_graph, lambda: build_graph(3, rows))
+    refused = [rows[0], rows[1], [rows[2][0]] + list(rows[2][1:-1]) + [0]]
+    assert scan in lines_run(
+        build_graph, lambda: pytest.raises(NotInvolution, build_graph, 3, refused)
+    )
 
 
 # -- breadth-first numbering ---------------------------------------------------
@@ -381,3 +463,30 @@ def test_isomorphism_witness_is_equivariant_bijection():
     for v in range(g.size):
         for c in range(g.rank):
             assert phi[g.neighbour(c, v)] == h.neighbour(c, phi[v])
+
+
+def test_propagation_matches_the_oracle_at_every_anchor(all_fixtures):
+    """Every map and every ``None`` from every anchor: equal-rank pairs of
+    fixtures, and each fixture against its relabelled copy both ways."""
+    named = list(all_fixtures.items())
+    pairs = list(product(named, repeat=2))
+    for a, m in named:
+        r = (f"{a} relabelled", relabelled(m, 1))
+        pairs += [((a, m), r), (r, (a, m))]
+    found = 0
+    for (a, m), (b, n) in pairs:
+        if m.rank == n.rank:
+            g, h = m.graph, n.graph
+            for anchor in range(h.size):
+                phi = _propagate(g, h, anchor)
+                assert phi == oracles._propagate(g, h, anchor), (a, b, anchor)
+                found += phi is not None
+    assert found > 0
+
+
+def test_propagation_from_a_disconnected_source_is_none():
+    # Flags of the second hexagon are out of reach of flag 0; the oracle,
+    # which assumes a connected source, leaves them unmapped.
+    two, hexagon = _two_hexagons(), polygon(3).graph
+    assert _propagate(two, hexagon, 0) is None
+    assert -1 in oracles._propagate(two, hexagon, 0)

@@ -27,7 +27,14 @@ from maniplexes.errors import (
 )
 from maniplexes import maniplex as maniplex_module
 from maniplexes.graphs import join
-from conftest import ODDBALL8_ROWS, dual, oddball8, relabelled, torus11_times_bits
+from conftest import (
+    ODDBALL8_ROWS,
+    dual,
+    lines_run,
+    oddball8,
+    relabelled,
+    torus11_times_bits,
+)
 from oracles import components
 
 
@@ -65,6 +72,40 @@ def test_bad_two_factor_rejected_with_witness():
         validate(build_graph(3, _non_commuting_rows()))
     assert (exc.value.colour_i, exc.value.colour_j) == (0, 2)
     assert exc.value.flag == 0
+
+
+def _lifted(pairs: list[tuple[int, int]]) -> list[int]:
+    """The involution of ``pairs`` on ``y``, acting on flags ``2y + e``."""
+    row = [0] * (4 * len(pairs))
+    for a, b in pairs:
+        for e in (0, 1):
+            row[2 * a + e], row[2 * b + e] = 2 * b + e, 2 * a + e
+    return row
+
+
+def test_bad_two_factor_names_a_later_colour_pair_and_flag():
+    # Colour 0 flips e and colours 1-3 act on y, so colour 0 commutes with 2
+    # and 3; colours 1 and 3 commute at y = 0 but not at y = 1 (flag 2).
+    rows = [
+        [v ^ 1 for v in range(20)],
+        _lifted([(0, 2), (1, 3), (4, 5), (6, 7), (8, 9)]),
+        _lifted([(0, 3), (1, 4), (2, 9), (5, 6), (7, 8)]),
+        _lifted([(0, 5), (1, 7), (2, 4), (3, 9), (6, 8)]),
+    ]
+    with pytest.raises(BadTwoFactor) as exc:
+        validate(build_graph(4, rows))
+    assert (exc.value.colour_i, exc.value.colour_j, exc.value.flag) == (1, 3, 2)
+    assert str(exc.value) == str(BadTwoFactor(1, 3, 2))
+
+
+def test_validation_scans_flags_only_for_a_failing_colour_pair():
+    scan = "if mi[mj[v]] != mj[mi[v]]:"
+    good = torus_44(2, 1).graph
+    assert scan not in lines_run(Maniplex._validate, lambda: Maniplex(good))
+    bad = build_graph(3, _non_commuting_rows())
+    assert scan in lines_run(
+        Maniplex._validate, lambda: pytest.raises(BadTwoFactor, Maniplex, bad)
+    )
 
 
 def test_disconnected_graph_breaking_the_axiom_is_reported_disconnected():

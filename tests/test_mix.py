@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -218,6 +219,35 @@ def test_searches_match_the_unpruned_oracles(all_fixtures, corpus):
 def test_is_covering_rejects_a_broken_map():
     t20, t10 = torus_44(2, 0), torus_44(1, 0)
     assert not is_covering(t20, t10, tuple([0] * 32))
+
+
+def test_is_covering_matches_the_flag_scan_oracle():
+    """Coverings, maps with negative images or images past the target,
+    maps that break a colour, and a colour-preserving map that is not onto
+    (into a disconnected target, which no maniplex is)."""
+    t20, t10 = torus_44(2, 0), torus_44(1, 0)
+    phi = list(find_covering(t20, t10).map)
+    twice = SimpleNamespace(
+        rank=t10.rank,
+        size=2 * t10.size,
+        graph=SimpleNamespace(
+            matchings=[r + tuple(w + t10.size for w in r) for r in t10.graph.matchings]
+        ),
+    )
+    maps = [(t20, t10, phi), (t20, twice, phi), (t20, t10, phi[:-1])]
+    for v, image in product((0, 5, 31), (-1, -t10.size, t10.size, t10.size + 3)):
+        maps.append((t20, t10, phi[:v] + [image] + phi[v + 1 :]))
+    for v, w in ((0, 1), (3, 17), (30, 31)):
+        swapped = list(phi)
+        swapped[v], swapped[w] = phi[w], phi[v]
+        maps.append((t20, t10, swapped))
+    maps += [(t20, t10, [0] * 32), (t20, t10, [v % 4 for v in range(32)])]
+    verdicts = []
+    for m, n, f in maps:
+        got = is_covering(m, n, tuple(f))
+        assert got == oracles.is_covering(m, n, tuple(f)), f
+        verdicts.append(got)
+    assert verdicts[0] and not any(verdicts[1:])
 
 
 def test_covering_self_check_raises_a_typed_error(monkeypatch):

@@ -35,6 +35,7 @@ from maniplexes.errors import InconsistentVerdicts, NotAPolytope
 from maniplexes.graphs import split_pair
 from maniplexes.polytopality import _certify_beta, _split, _spip_pairs
 from conftest import (
+    ditope,
     ALT_3TORUS_BASIS,
     POLYTOPAL_NAMES,
     dual,
@@ -537,3 +538,24 @@ def test_colour_reversal_maps_verdicts_and_failures(all_fixtures, corpus):
         polytopal += want.polytopal
         diamonds += not want.poset.diamond.holds
     assert (len(inputs), polytopal, diamonds) == (1028, 522, 505)
+
+
+def test_ditope_keeps_the_verdict_and_adds_two_faces_at_its_end(
+    all_fixtures, corpus
+):
+    # A colour that swaps two copies of the flags and commutes with every
+    # colour adds one rank with two faces, the copies, at the top (facets)
+    # or at the bottom (vertices), and doubles the maximal chains.
+    inputs = list(all_fixtures.items())
+    inputs += [(s.seed, s.maniplex) for s in corpus if s.maniplex.size <= 256]
+    polytopal = 0
+    for label, m in inputs:
+        want, counts = is_polytopal(m), _face_counts(m)
+        for at_top in (True, False):
+            d = ditope(m, at_top)
+            got = is_polytopal(d)
+            assert got.polytopal == want.polytopal, (label, at_top)
+            assert _face_counts(d) == (counts + [2] if at_top else [2] + counts)
+            assert got.poset.chain_count == 2 * want.poset.chain_count, label
+        polytopal += want.polytopal
+    assert (len(inputs), polytopal) == (1018, 515)
