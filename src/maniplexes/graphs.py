@@ -6,8 +6,9 @@ colour ``c`` in ``range(n)`` an array ``m[c]`` with ``m[c][v]`` the unique
 fixed-point-free involutions and no two colours agree at any flag.
 
 This module knows nothing about maniplexes; it provides the graph container,
-the one breadth-first numbering, :func:`orbit`, behind every graph built by
-rule from a base flag, component partitions grown by the one union-find
+the breadth-first numbering, :func:`orbit`, behind the generators' graphs
+built by rule from a base state (the mix numbers its flag pairs in the same
+order with a loop of its own), component partitions grown by the one union-find
 :func:`join` along a map's :func:`edge_gather` or, along a map that pairs
 whole blocks, by :func:`pair_join`, partition meets, and the one
 anchor search, :func:`extensions`, behind colour-preserving isomorphisms and
@@ -141,7 +142,9 @@ def orbit(
     breadth-first discovery order with ``c`` ascending over ``range(k)``.
 
     Returns ``order`` and ``rows``, with ``rows[c][i]`` the number of
-    ``step(c, order[i])``; each step is computed once.
+    ``step(c, order[i])``; each step is computed once.  Every state but the
+    first is numbered after the state it was reached from, which
+    :class:`~maniplexes.maniplex.Maniplex` reads as a proof of connectivity.
     """
     index = {start: 0}
     order = [start]

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
+from operator import lt
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -84,7 +86,11 @@ class Maniplex:
     """A validated maniplex over a properly coloured graph.
 
     Raises :class:`Disconnected` or :class:`BadTwoFactor` (first offending
-    colour pair and flag in scan order) when the axioms fail.  Component
+    colour pair and flag in scan order) when the axioms fail.  A graph in
+    which every flag but 0 has a neighbour numbered below it, as in every
+    breadth-first numbering (the mix's and :func:`~maniplexes.graphs.orbit`'s),
+    is connected, so its validation builds no partition; any other graph's
+    connectivity is decided by its components over all colours.  Component
     partitions are cached per colour subset, and each colour's
     :func:`~maniplexes.graphs.edge_gather` is built on its first
     :func:`~maniplexes.graphs.join`.
@@ -101,14 +107,20 @@ class Maniplex:
 
     def _validate(self) -> None:
         g = self.graph
-        full = self._components((1 << g.rank) - 1)
-        if full.block_count() > 1:
-            other = next(v for v in g.flags() if not full.same_block(0, v))
-            raise Disconnected(0, other)
+        rows = g.matchings
+        # If every flag v > 0 has a neighbour below v, induction on v joins
+        # each flag to flag 0, so the graph is connected; every breadth-first
+        # numbering passes.  A component without flag 0 fails at its lowest
+        # flag, so only a graph that fails reads its components.
+        lowest = map(min, *rows) if g.rank > 1 else rows[0]
+        if not all(map(lt, islice(lowest, 1, None), g.flags()[1:])):
+            full = self._components((1 << g.rank) - 1)
+            if full.block_count() > 1:
+                other = next(v for v in g.flags() if not full.same_block(0, v))
+                raise Disconnected(0, other)
         # gathers[j](mi)[v] is mi[mj[v]]: colours i and j commute exactly
         # when the two compositions agree.  Only a failing pair is scanned,
         # for its first flag.
-        rows = g.matchings
         gathers = [gather(row) for row in rows]
         for i in range(g.rank):
             for j in range(i + 2, g.rank):
@@ -135,8 +147,9 @@ class Maniplex:
         component: the lowest such colour pairs the blocks over ``mask``
         without it (:func:`~maniplexes.graphs.pair_join`).  Any other mask
         joins those over ``mask`` without its top colour along that colour.
-        Validation reaches a lone colour only at mask 1, from singletons,
-        so it does not rely on the axiom it checks.
+        Validation, when it needs the components over all colours, reaches
+        a lone colour only at mask 1, from singletons, so it does not rely on
+        the axiom it checks.
         """
         part = self._parts.get(mask)
         if part is None:

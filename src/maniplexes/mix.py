@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InconsistentVerdicts, OutOfRange, RankMismatch
-from .graphs import build_graph, extensions, gather, index_in_range, orbit
+from .graphs import build_graph, extensions, gather, index_in_range
 from .maniplex import Maniplex
 
 
@@ -30,20 +30,36 @@ def mix_with_projections(
 
     Flags of the mix are numbered in breadth-first discovery order from the
     base pair, exploring colours in ascending order, so the result is
-    deterministic.  Raises :class:`RankMismatch` for unequal ranks and
+    deterministic and its validation certifies connectivity from the
+    numbering alone (see :class:`~maniplexes.maniplex.Maniplex`).  Raises :class:`RankMismatch` for unequal ranks and
     :class:`OutOfRange` for a base flag that is not a flag of its factor.
     """
     if m.rank != n.rank:
         raise RankMismatch(f"cannot mix ranks {m.rank} and {n.rank}")
-    start = (
-        index_in_range(base_m, m.size, OutOfRange, "base flag of the first factor"),
-        index_in_range(base_n, n.size, OutOfRange, "base flag of the second factor"),
-    )
-    mm, nn = m.graph.matchings, n.graph.matchings
-    order, rows = orbit(start, lambda c, ab: (mm[c][ab[0]], nn[c][ab[1]]), m.rank)
-    proj_m, proj_n = zip(*order)
-    mixed = Maniplex(build_graph(m.rank, rows))
-    return mixed, proj_m, proj_n
+    a = index_in_range(base_m, m.size, OutOfRange, "base flag of the first factor")
+    b = index_in_range(base_n, n.size, OutOfRange, "base flag of the second factor")
+    # Each pair (a, b) is keyed by its code a * size + b; a colour sends it
+    # to sm[a] + nn[b], where sm is the colour's row of m scaled by size.
+    # The projections grow as pairs are numbered, so they are the queue.
+    size = n.size
+    cols = [
+        ([x * size for x in mm], nn, [])
+        for mm, nn in zip(m.graph.matchings, n.graph.matchings)
+    ]
+    index = {a * size + b: 0}
+    proj_m, proj_n = [a], [b]
+    for a, b in zip(proj_m, proj_n):
+        for sm, nn, row in cols:
+            code = sm[a] + nn[b]
+            i = index.get(code)
+            if i is None:
+                i = index[code] = len(proj_m)
+                x, y = divmod(code, size)
+                proj_m.append(x)
+                proj_n.append(y)
+            row.append(i)
+    mixed = Maniplex(build_graph(m.rank, [row for _, _, row in cols]))
+    return mixed, tuple(proj_m), tuple(proj_n)
 
 
 def mix(m: Maniplex, n: Maniplex, base_m: int = 0, base_n: int = 0) -> Maniplex:
