@@ -31,8 +31,9 @@ def mix_with_projections(
     Flags of the mix are numbered in breadth-first discovery order from the
     base pair, exploring colours in ascending order, so the result is
     deterministic and its validation certifies connectivity from the
-    numbering alone (see :class:`~maniplexes.maniplex.Maniplex`).  Raises :class:`RankMismatch` for unequal ranks and
-    :class:`OutOfRange` for a base flag that is not a flag of its factor.
+    numbering alone (see :class:`~maniplexes.maniplex.Maniplex`).  Raises
+    :class:`RankMismatch` for unequal ranks and :class:`OutOfRange` for a
+    base flag that is not a flag of its factor.
     """
     if m.rank != n.rank:
         raise RankMismatch(f"cannot mix ranks {m.rank} and {n.rank}")

@@ -36,7 +36,10 @@ the library's former validation and covering test, kept verbatim: they
 decide every row and every colour by a scan over the flags.
 ``mix_with_projections`` is the library's
 former mix, kept verbatim: its own breadth-first numbering of flag pairs,
-then a second pass over every pair to fill the rows.
+then a second pass over every pair to fill the rows.  ``ChainValidated`` is
+a maniplex checked by the library's former validation, kept verbatim: it
+always builds the components over all colours to decide connectivity, where
+the library first reads a certificate from the flag numbering.
 """
 
 from __future__ import annotations
@@ -66,6 +69,8 @@ from maniplexes import (
     partition_meet,
 )
 from maniplexes.errors import (
+    BadTwoFactor,
+    Disconnected,
     DisconnectedInput,
     FixedPoint,
     InconsistentVerdicts,
@@ -75,7 +80,7 @@ from maniplexes.errors import (
     RankMismatch,
     SizeMismatch,
 )
-from maniplexes.graphs import MAX_RANK, index_in_range, split_pair
+from maniplexes.graphs import MAX_RANK, gather, index_in_range, split_pair
 
 
 def build_graph(rank: int, matchings: Sequence[Sequence[int]]) -> ColouredGraph:
@@ -122,6 +127,31 @@ def build_graph(rank: int, matchings: Sequence[Sequence[int]]) -> ColouredGraph:
             v = next(v for v in range(size) if frozen[c][v] == frozen[d][v])
             raise MultiEdge(c, d, v)
     return ColouredGraph(rank=rank, size=size, matchings=tuple(frozen))
+
+
+class ChainValidated(Maniplex):
+    """A :class:`Maniplex` validated by the library's former ``_validate``,
+    kept verbatim: connectivity always decided by the components over all
+    colours, built along the chain of prefix masks."""
+
+    def _validate(self) -> None:
+        g = self.graph
+        full = self._components((1 << g.rank) - 1)
+        if full.block_count() > 1:
+            other = next(v for v in g.flags() if not full.same_block(0, v))
+            raise Disconnected(0, other)
+        # gathers[j](mi)[v] is mi[mj[v]]: colours i and j commute exactly
+        # when the two compositions agree.  Only a failing pair is scanned,
+        # for its first flag.
+        rows = g.matchings
+        gathers = [gather(row) for row in rows]
+        for i in range(g.rank):
+            for j in range(i + 2, g.rank):
+                mi, mj = rows[i], rows[j]
+                if gathers[j](mi) != gathers[i](mj):
+                    for v in g.flags():
+                        if mi[mj[v]] != mj[mi[v]]:
+                            raise BadTwoFactor(i, j, v)
 
 
 def components(graph: ColouredGraph, colours: Iterable[int]) -> Partition:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maniplexes import (
     Maniplex,
@@ -12,6 +14,7 @@ from maniplexes import (
     build_graph,
     hypercube,
     make_path,
+    mix,
     normalize_path,
     polygon,
     torus_44,
@@ -21,6 +24,7 @@ from maniplexes import (
 from maniplexes.errors import (
     BadTwoFactor,
     Disconnected,
+    ManiplexError,
     OutOfRange,
     PathUsesPivotColour,
     RankOutOfRange,
@@ -35,6 +39,7 @@ from conftest import (
     relabelled,
     torus11_times_bits,
 )
+import oracles
 from oracles import components
 
 
@@ -116,6 +121,83 @@ def test_disconnected_graph_breaking_the_axiom_is_reported_disconnected():
     with pytest.raises(Disconnected) as exc:
         validate(build_graph(3, twice))
     assert (exc.value.flag_a, exc.value.flag_b) == (0, 12)
+
+
+def _outcome(cls, graph):
+    """``None`` when ``cls(graph)`` validates, else the error's class and
+    witness."""
+    try:
+        cls(graph)
+    except (Disconnected, BadTwoFactor) as err:
+        return type(err), vars(err)
+    return None
+
+
+def test_fixtures_and_corpus_land_on_both_sides_of_the_certificate(
+    all_fixtures, corpus
+):
+    """The fixtures and the corpus, as numbered and relabelled, are
+    accepted by the chain oracle too; some validate without building a
+    partition, the rest read their components."""
+    inputs = list(all_fixtures.values()) + [s.maniplex for s in corpus]
+    inputs += [relabelled(m, seed) for seed, m in enumerate(inputs)]
+    certified = 0
+    for m in inputs:
+        oracles.ChainValidated(m.graph)
+        certified += list(Maniplex(m.graph)._parts) == [0]
+    assert (len(inputs), certified) == (2 * 1018, 825)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validation_matches_the_chain_oracle_on_rewired_graphs(
+    all_fixtures, corpus, data
+):
+    """A fixture or corpus sample, relabelled or not, with one colour's two
+    edges ``{u, row[u]}`` and ``{w, row[w]}`` rewired to ``{u, w}`` and
+    ``{row[u], row[w]}``: the graph stays properly coloured or is refused by
+    ``build_graph``, and may be disconnected or break a 4-cycle.  Validation
+    accepts it or raises the same class and witness as the chain oracle."""
+    pool = list(all_fixtures.values()) + [s.maniplex for s in corpus[:200]]
+    m = data.draw(st.sampled_from(pool))
+    seed = data.draw(st.none() | st.integers(0, 2**16))
+    if seed is not None:
+        m = relabelled(m, seed)
+    rows = [list(row) for row in m.graph.matchings]
+    if data.draw(st.booleans()):
+        row = rows[data.draw(st.integers(0, m.rank - 1))]
+        flag = st.integers(0, m.size - 1)
+        u, w = data.draw(flag), data.draw(flag)
+        su, sw = row[u], row[w]
+        if w not in (u, su):
+            row[u], row[w], row[su], row[sw] = w, u, sw, su
+    try:
+        graph = build_graph(m.rank, rows)
+    except ManiplexError:
+        return
+    assert _outcome(Maniplex, graph) == _outcome(oracles.ChainValidated, graph)
+
+
+def test_two_copies_are_disconnected_at_the_second_copy(all_fixtures, corpus):
+    """Flag ``size`` starts the second copy and has no neighbour below it,
+    so the certificate fails and the components name it, rank 1 too."""
+    inputs = list(all_fixtures.values()) + [s.maniplex for s in corpus[:100]]
+    for m in inputs:
+        n = m.size
+        rows = [row + tuple(w + n for w in row) for row in m.graph.matchings]
+        twice = build_graph(m.rank, rows)
+        want = (Disconnected, {"flag_a": 0, "flag_b": n})
+        assert _outcome(Maniplex, twice) == want
+        assert _outcome(oracles.ChainValidated, twice) == want
+    assert any(m.rank == 1 for m in inputs)
+
+
+def test_validation_builds_components_only_without_a_certificate():
+    chain = "full = self._components((1 << g.rank) - 1)"
+    t20, t10 = torus_44(2, 0), torus_44(1, 0)
+    assert chain in lines_run(Maniplex._validate, lambda: Maniplex(t20.graph))
+    assert chain not in lines_run(Maniplex._validate, lambda: mix(t20, t10))
+    assert chain not in lines_run(Maniplex._validate, lambda: bitflip(5))
 
 
 def test_commutation_of_distant_colours_holds_everywhere():

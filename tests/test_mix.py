@@ -185,10 +185,13 @@ def _mix_sweep(all_fixtures, corpus):
 
 def test_mix_matches_the_two_pass_oracle(all_fixtures, corpus):
     """The mix and both projections are the former numbering's, pair for
-    pair: breadth-first from the base pair, colours ascending."""
+    pair: breadth-first from the base pair, colours ascending.  That
+    numbering certifies connectivity, so validating the mix builds no
+    partition."""
     for (a, m), (b, n), bases in _mix_sweep(all_fixtures, corpus):
         got = mix_with_projections(m, n, *bases)
         want = oracles.mix_with_projections(m, n, *bases)
+        assert list(got[0]._parts) == [0], (a, b, bases)
         assert got[0].graph == want[0].graph, (a, b, bases)
         assert got[1:] == want[1:], (a, b, bases)
 

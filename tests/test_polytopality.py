@@ -559,3 +559,35 @@ def test_ditope_keeps_the_verdict_and_adds_two_faces_at_its_end(
             assert got.poset.chain_count == 2 * want.poset.chain_count, label
         polytopal += want.polytopal
     assert (len(inputs), polytopal) == (1018, 515)
+
+
+def test_torus11_times_bits_is_the_iterated_top_ditope():
+    # Each bit colour swaps two copies of the flags and commutes with every
+    # colour below it, as the top colour of a ditope does.
+    m = torus_44(1, 1)
+    for k in range(1, 4):
+        m = ditope(m, at_top=True)
+        assert are_isomorphic(torus11_times_bits(k).graph, m.graph) is not None, k
+
+
+def test_facets_and_vertex_figures_of_a_polytope_are_polytopes(all_fixtures):
+    """Sections of a polytope are polytopes, so a maniplex with a
+    non-polytopal facet or vertex-figure is not polytopal.  The polytopal
+    fixtures' facets and vertex-figures all pass; the facets of each
+    ``torus11_times_bits(k)`` contain the torus, and it fails too."""
+    inputs = [(name, all_fixtures[name]) for name in sorted(POLYTOPAL_NAMES)]
+    inputs += [(f"torus11_times_bits({k})", torus11_times_bits(k)) for k in (1, 2, 3)]
+    inputs = [(name, m) for name, m in inputs if m.rank > 1]  # not hypercube(1)
+    sections = failing = 0
+    for name, m in inputs:
+        verdicts = [
+            is_polytopal(m.face_as_maniplex(face)).polytopal
+            for rank in (0, m.rank - 1)
+            for face in m.faces(rank)
+        ]
+        polytopal = is_polytopal(m).polytopal
+        assert polytopal == (name in POLYTOPAL_NAMES), name
+        assert all(verdicts) or not polytopal, name
+        sections += len(verdicts)
+        failing += not all(verdicts)
+    assert (len(inputs), sections, failing) == (14, 132, 3)
