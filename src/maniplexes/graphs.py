@@ -10,21 +10,22 @@ the breadth-first numbering, :func:`orbit`, behind the generators' graphs
 built by rule from a base state (the mix numbers its flag pairs in the same
 order with a loop of its own), component partitions grown by the one union-find
 :func:`join` along a map's :func:`edge_gather` or, along a map that pairs
-whole blocks, by :func:`pair_join`, partition meets, and the one
-anchor search, :func:`extensions`, behind colour-preserving isomorphisms and
-coverings.
+whole blocks, by :func:`pair_join`, partition meets, the one split test,
+:func:`first_split`, behind the intersection criteria and strong flag
+connectivity, and the one anchor search, :func:`extensions`, behind
+colour-preserving isomorphisms and coverings.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     FixedPoint,
-    InconsistentVerdicts,
     ManiplexError,
     MultiEdge,
     NotInvolution,
@@ -340,15 +341,25 @@ def partition_meet(p: Partition, q: Partition) -> Partition:
     return Partition(zip(p.ids, q.ids))
 
 
-def split_pair(coarse: Partition, fine: Partition) -> tuple[int, int]:
-    """First flag pair (canonical block order) joined by ``coarse`` but
-    separated by ``fine``."""
-    for block in coarse.blocks():
-        tid = fine.ids[block[0]]
-        for f in block[1:]:
-            if fine.ids[f] != tid:
-                return block[0], f
-    raise InconsistentVerdicts("partitions compared unequal but nothing splits")
+def first_split(
+    fine: Partition, *key_columns: Sequence[Hashable]
+) -> Optional[tuple[int, int]]:
+    """``None`` when ``fine``, which must refine the classes of the key
+    ``(col[v] for col in key_columns)``, equals them: when the keys at
+    ``fine.reps`` are distinct.  Else the first flag pair a key class joins
+    and ``fine`` separates, ``(reps[i], reps[j])`` with ``i`` the first
+    repeated key and ``j`` that key's next block.  With no columns every
+    flag has the key ``()``."""
+    reps = fine.reps
+    if not key_columns:
+        return None if len(reps) < 2 else (reps[0], reps[1])
+    at = gather(reps)
+    if len(set(zip(*map(at, key_columns)))) == len(reps):
+        return None
+    keys = list(zip(*map(at, key_columns)))
+    count = Counter(keys)
+    i = next(k for k, key in enumerate(keys) if count[key] > 1)
+    return reps[i], reps[keys.index(keys[i], i + 1)]
 
 
 def meet_all(parts: Iterable[Partition]) -> Partition:

@@ -201,12 +201,20 @@ class Maniplex:
 
     # -- face factorisation ---------------------------------------------------
 
+    def _own_face(self, face: Face) -> None:
+        """:class:`OutOfRange` unless ``face`` is a face of this maniplex."""
+        faces = self.faces(index_in_range(face.rank, self.rank, OutOfRange, "rank"))
+        if faces[index_in_range(face.index, len(faces), OutOfRange, "index")] != face:
+            raise OutOfRange(f"{face!r} is not a face of this maniplex")
+
     def face_factors(self, face: Face) -> FaceFactors:
         """Split a middle-rank face into its low-colour and high-colour parts.
 
         Only defined for ``1 <= face.rank <= rank - 2``; the extreme ranks
-        have an empty colour side and raise :class:`RankOutOfRange`.
+        have an empty colour side and raise :class:`RankOutOfRange`.  A face
+        of another maniplex raises :class:`OutOfRange`.
         """
+        self._own_face(face)
         i = face.rank
         if not 1 <= i <= self.rank - 2:
             raise RankOutOfRange(
@@ -221,33 +229,24 @@ class Maniplex:
         degree, rem = divmod(len(below) * len(above), size)
         if rem:
             raise InconsistentVerdicts("the low/high map must have constant degree")
-        unique = degree == 1
-        if unique:
-            # Coordinates are unique iff each high-component meets `below`
-            # once and each low-component meets `above` once, within the face.
-            below_set, above_set = set(below), set(above)
-            for v in face.flags:
-                if len(above_set & set(low.block_of(v))) != 1:
-                    unique = False
-                    break
-                if len(below_set & set(high.block_of(v))) != 1:
-                    unique = False
-                    break
-        return FaceFactors(
-            face=face,
-            below=below,
-            above=above,
-            covering_degree=degree,
-            is_product=unique,
+        # Coordinates are unique iff each high-component meets `below`
+        # once and each low-component meets `above` once, within the face.
+        below_set, above_set = set(below), set(above)
+        unique = degree == 1 and all(
+            len(above_set & set(low.block_of(v))) == 1
+            and len(below_set & set(high.block_of(v))) == 1
+            for v in face.flags
         )
+        return FaceFactors(face, below, above, degree, unique)
 
     def face_as_maniplex(self, face: Face) -> "Maniplex":
         """A bottom or top face re-indexed as a maniplex of rank ``n - 1``.
 
         Rank-0 faces keep colours ``1..n-1`` shifted down by one; rank-``n-1``
         faces keep colours ``0..n-2``.  Middle ranks have a colour gap and are
-        rejected.
+        rejected, and a face of another maniplex raises :class:`OutOfRange`.
         """
+        self._own_face(face)
         n = self.rank
         if n < 2:
             raise RankOutOfRange("no proper face is a maniplex below rank 2")

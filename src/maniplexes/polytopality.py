@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from typing import Optional
+from itertools import combinations, islice
+from typing import Hashable, Iterable, Iterator, Optional
 
 from .errors import InconsistentVerdicts, ManiplexError, NotAPolytope
-from .graphs import build_graph, gather
+from .graphs import build_graph, first_split
 from .maniplex import Maniplex
 from .posets import (
     CheckResult,
@@ -88,41 +88,61 @@ class PolytopalityReport:
     flag_graph_isomorphism: Optional[tuple[int, ...]]
 
 
-def _colours(mask: int) -> tuple[int, ...]:
-    return tuple(c for c in range(mask.bit_length()) if mask >> c & 1)
+Family = Iterable[tuple[Hashable, int, int]]
 
 
-def _split(m: Maniplex, a: int, b: int) -> Optional[tuple[int, int]]:
-    """``None`` when the components over colour masks ``a`` and ``b`` meet in
-    those over ``a & b``, else the first flag pair the meet joins wrongly.
-
-    The latter refine both sides, so equal block counts mean equality, and
-    every flag has the pair of ids of its block's smallest flag there: the
-    meet's blocks are counted at the target's smallest flags alone.  The
-    meet's first block holding two target blocks is the repeated id pair
-    seen first there; its smallest flag and the next target block's are
-    the pair, without building the meet."""
-    pa, pb, target = m._components(a), m._components(b), m._components(a & b)
-    reps = target.reps
-    at = gather(reps)
-    if len(set(zip(at(pa.ids), at(pb.ids)))) == target.block_count():
-        return None
-    first: dict[tuple[int, int], int] = {}
-    second: dict[int, int] = {}
-    for j, key in enumerate(zip(at(pa.ids), at(pb.ids))):
-        i = first.setdefault(key, j)
-        if i != j:
-            second.setdefault(i, j)
-    i = min(second)
-    return reps[i], reps[second[i]]
+def _failures(m: Maniplex, family: Family, start: int = 0) -> Iterator[tuple]:
+    """``(tag, split)``, lazily from index ``start`` on, for each ``(tag, a,
+    b)`` of ``family`` whose components over colour masks ``a`` and ``b``
+    meet coarser than those over ``a & b``, which refine both: the meet is
+    the classes of the pair of ids over ``a`` and ``b``, and ``split`` is
+    the first pair :func:`~maniplexes.graphs.first_split` names for them."""
+    for tag, a, b in islice(family, start, None):
+        pa, pb, target = m._components(a), m._components(b), m._components(a & b)
+        split = first_split(target, pa.ids, pb.ids)
+        if split is not None:
+            yield tag, split
 
 
-def _windows(n: int):
-    """``(low, high, above, below)`` for ``low < high``: the masks of the
-    colours above ``low`` and of those below ``high``."""
-    for low in range(n):
-        for high in range(low + 1, n):
-            yield low, high, (1 << n) - (2 << low), (1 << high) - 1
+def _subsets(n: int) -> Family:
+    """CIP's family: each subset ``S`` of two or more colours, by size and
+    then lexicographic, with the masks of all but ``S`` minus its last
+    colour and of all but that colour."""
+    full, bits = (1 << n) - 1, [1 << c for c in range(n)]
+    for size in range(2, n + 1):
+        for sub, masks in zip(combinations(range(n), size), combinations(bits, size)):
+            yield sub, full - sum(masks[:-1]), full - masks[-1]
+
+
+@lru_cache(maxsize=None)
+def _windows(n: int) -> Family:
+    """WPIP's family: ``((low, high), above, below)`` for ``low < high``,
+    the masks of the colours above ``low`` and below ``high``."""
+    pairs = combinations(range(n), 2)
+    return tuple(((lo, hi), (1 << n) - (2 << lo), (1 << hi) - 1) for lo, hi in pairs)
+
+
+@lru_cache(maxsize=None)
+def _spip_families(n: int) -> tuple[Family, Family]:
+    """SPIP's deciding family, each pair tagged with the index where the
+    witness scan starts, and its witness family, tagged by colour tuples.
+
+    Up to rank 6 the latter is every incomparable mask pair ``a < b`` and
+    the former its co-pairs, each tagged with the first pair it stands
+    for, in that order; above rank 6 both are the windows."""
+    if n > 6:
+        masks = [(a, b) for _, a, b in _windows(n)]
+        first = {pair: i for i, pair in enumerate(masks)}
+    else:
+        full, every = (1 << n) - 1, range(1 << n)
+        masks = [(a, b) for a in every for b in every[a + 1 :] if a & b not in (a, b)]
+        first = {}
+        for i, (a, b) in enumerate(masks):
+            co = a | (full ^ b)
+            first.setdefault((min(co, b), max(co, b)), i)
+    deciding = tuple((i, a, b) for (a, b), i in first.items())
+    bits = {x: tuple(c for c in range(n) if x >> c & 1) for ab in masks for x in ab}
+    return deciding, tuple(((bits[a], bits[b]), a, b) for a, b in masks)
 
 
 def check_cip(m: Maniplex) -> CheckResult:
@@ -137,48 +157,20 @@ def check_cip(m: Maniplex) -> CheckResult:
     reached, so the meet over ``S`` is the partition with ``S`` minus its
     last colour removed, met with the one with that colour removed.
     """
-    n = m.rank
-    full = (1 << n) - 1
-    for size in range(2, n + 1):
-        for sub in combinations(range(n), size):
-            rest = full - sum(1 << c for c in sub[:-1])
-            split = _split(m, rest, full - (1 << sub[-1]))
-            if split is not None:
-                return CheckResult(False, CipWitness(sub, *split))
-    return CheckResult(True)
+    failure = next(_failures(m, _subsets(m.rank)), None)
+    if failure is None:
+        return CheckResult(True)
+    sub, split = failure
+    return CheckResult(False, CipWitness(sub, *split))
 
 
 def check_wpip(m: Maniplex) -> WpipResult:
     """Interval property: for every ``low < high``, the meet of the
     components over colours above ``low`` and below ``high`` must equal the
     components strictly between.  Collects every failing pair."""
-    failures: list[tuple[int, int]] = []
-    first: Optional[WindowWitness] = None
-    for low, high, above, below in _windows(m.rank):
-        split = _split(m, above, below)
-        if split is not None:
-            failures.append((low, high))
-            if first is None:
-                first = WindowWitness(low, high, *split)
-    return WpipResult(not failures, first, tuple(failures))
-
-
-Pair = tuple[int, int]
-
-
-@lru_cache(maxsize=None)
-def _spip_pairs(n: int) -> tuple[tuple[Pair, ...], tuple[tuple[int, int, int], ...]]:
-    """The incomparable colour-mask pairs ``a < b`` in scan order, and each
-    co-pair ``(a, b, i)`` with ``i`` the index of the first pair whose
-    co-pair it is, in that order."""
-    full = (1 << n) - 1
-    masks = range(1 << n)
-    pairs = tuple((a, b) for a in masks for b in masks[a + 1 :] if a & b not in (a, b))
-    first: dict[Pair, int] = {}
-    for i, (a, b) in enumerate(pairs):
-        co = a | (full ^ b)
-        first.setdefault((min(co, b), max(co, b)), i)
-    return pairs, tuple((a, b, i) for (a, b), i in first.items())
+    failures = list(_failures(m, _windows(m.rank)))
+    first = WindowWitness(*failures[0][0], *failures[0][1]) if failures else None
+    return WpipResult(not failures, first, tuple(tag for tag, _ in failures))
 
 
 def check_spip(m: Maniplex) -> CheckResult:
@@ -196,23 +188,18 @@ def check_spip(m: Maniplex) -> CheckResult:
     only joins more flags.  The co-pairs are tried in the order of the
     first pair each stands for.  When one fails, every pair before that
     first one holds, so the scan for the witness starts there and splits
-    at most one pair more than a scan of every pair.
+    at most one pair more than a scan of every pair.  The failing co-pair
+    is itself a pair from there on, so that scan finds a failure.
     """
-    n = m.rank
-    if n > 6:
-        pairs = [(a, b) for _, _, a, b in _windows(n)]
-    else:
-        pairs, co_pairs = _spip_pairs(n)
-        failing = (i for a, b, i in co_pairs if _split(m, a, b) is not None)
-        start = next(failing, None)
-        if start is None:
-            return CheckResult(True)
-        pairs = pairs[start:]
-    for a, b in pairs:
-        split = _split(m, a, b)
-        if split is not None:
-            return CheckResult(False, SpipWitness(_colours(a), _colours(b), *split))
-    return CheckResult(True)
+    deciding, pairs = _spip_families(m.rank)
+    failure = next(_failures(m, deciding), None)
+    if failure is None:
+        return CheckResult(True)
+    failure = next(_failures(m, pairs, failure[0]), None)
+    if failure is None:
+        raise InconsistentVerdicts("a co-pair fails but no pair from its first does")
+    (colours_a, colours_b), split = failure
+    return CheckResult(False, SpipWitness(colours_a, colours_b, *split))
 
 
 def beta(m: Maniplex) -> tuple[MaximalChain, ...]:

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InconsistentVerdicts, NoFlagSets, NotAChain, NotComparable
 from .errors import OutOfRange
-from .graphs import Partition, discrete, edge_gather, index_in_range, join, split_pair
+from .graphs import discrete, edge_gather, first_split, index_in_range, join
 from .maniplex import Face, Maniplex
 
 Ref = tuple[int, int]
@@ -339,11 +339,13 @@ def strong_flag_connectivity(p: InducedPoset) -> CheckResult:
     steps changing one face inside it.  For each ``a`` one partition of the
     chains grows with ``b`` by joining the chains equal except at rank
     ``b``; its blocks refine the classes of chains agreeing outside
-    ``a..b``, so equal block counts decide the interval.  The witness is
-    the first failing chain pair in lex order: the least first split pair
-    of a failing interval.
+    ``a..b``, so :func:`~maniplexes.graphs.first_split` decides the
+    interval from the faces outside it, read at the block representatives
+    alone.  The witness is the first failing chain pair in lex order: the
+    least first split pair of a failing interval.
     """
     chains = p._chain_tuples()
+    cols = tuple(zip(*chains))
     # rep[b] gathers the map from chain t to the first chain equal to it
     # except at rank b; that chain never comes after t, so the gather reads
     # only the chains the map moves.
@@ -357,9 +359,9 @@ def strong_flag_connectivity(p: InducedPoset) -> CheckResult:
         comps = join(discrete(len(chains)), rep[a])
         for b in range(a + 1, p.n):
             comps = join(comps, rep[b])
-            classes = Partition([ch[:a] + ch[b + 1 :] for ch in chains])
-            if classes.block_count() != comps.block_count():
-                pairs.append(split_pair(classes, comps))
+            split = first_split(comps, *cols[:a], *cols[b + 1 :])
+            if split is not None:
+                pairs.append(split)
     if not pairs:
         return CheckResult(True)
     t1, t2 = min(pairs)

@@ -21,10 +21,13 @@ per subset of ranks, then every chain pair judged in the group of the ranks
 where the two agree.  ``strong_flag_connectivity_by_spans`` is the
 library's former check, kept verbatim to pin its verdict and witness: a
 union-find per span of positions in the chains padded with their improper
-ends, one keyed pass per interior position.  ``split`` is the
-library's former intersection test, which counted the meet's blocks over
-every flag instead of at the target's smallest flags and named a failing
-pair with ``split_pair`` on the flag-level meet.  ``check_cip``,
+ends, one keyed pass per interior position.  ``split_pair`` is the
+library's former split test, kept verbatim: it walks the blocks of the
+coarse partition for the first flag the fine one separates from its
+block's smallest flag.  ``split`` is the library's former intersection
+test, which counted the meet's blocks over every flag instead of at the
+target's smallest flags and named a failing pair with ``split_pair`` on
+the flag-level meet.  ``check_cip``,
 ``check_wpip`` and ``check_spip`` are the three partition criteria as separate
 meet-and-compare loops: CIP meets all ``|S|`` single-colour-removed
 partitions of each subset, and SPIP above rank 6 translates the interval
@@ -80,7 +83,7 @@ from maniplexes.errors import (
     RankMismatch,
     SizeMismatch,
 )
-from maniplexes.graphs import MAX_RANK, gather, index_in_range, split_pair
+from maniplexes.graphs import MAX_RANK, gather, index_in_range
 
 
 def build_graph(rank: int, matchings: Sequence[Sequence[int]]) -> ColouredGraph:
@@ -458,6 +461,17 @@ def strong_flag_connectivity_by_spans(p: InducedPoset) -> CheckResult:
     t1, t2 = min(pairs)
     chain_list = p.maximal_chains()
     return CheckResult(False, (chain_list[t1], chain_list[t2]))
+
+
+def split_pair(coarse: Partition, fine: Partition) -> tuple[int, int]:
+    """First flag pair (canonical block order) joined by ``coarse`` but
+    separated by ``fine``."""
+    for block in coarse.blocks():
+        tid = fine.ids[block[0]]
+        for f in block[1:]:
+            if fine.ids[f] != tid:
+                return block[0], f
+    raise InconsistentVerdicts("partitions compared unequal but nothing splits")
 
 
 def split(

@@ -13,6 +13,7 @@ from maniplexes import (
     bitflip,
     build_graph,
     hypercube,
+    klein_44,
     make_path,
     mix,
     normalize_path,
@@ -366,6 +367,24 @@ def test_product_holds_on_geometric_fixtures(geometric_fixtures):
                 ff = m.face_factors(face)
                 assert ff.is_product, (name, i)
                 assert len(ff.below) * len(ff.above) == len(ff.face.flags)
+
+
+def test_faces_of_another_maniplex_are_refused():
+    # a face equal to one of t's own (same rank, index, smallest flag and
+    # flags) is t's face; every other one is refused by both face methods
+    t = torus_44(2, 0)
+    refused = 0
+    for other in (hypercube(3), torus_44(2, 1), klein_44()):
+        for r in range(other.rank):
+            own = t.faces(r)
+            for face in other.faces(r):
+                if face.index < len(own) and own[face.index] == face:
+                    continue
+                refused += 1
+                for method in (t.face_factors, t.face_as_maniplex):
+                    with pytest.raises(OutOfRange):
+                        method(face)
+    assert refused == 42
 
 
 # -- sections as maniplexes -------------------------------------------------------

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -32,18 +31,19 @@ from maniplexes import (
     torus_44,
 )
 from maniplexes.errors import InconsistentVerdicts, NotAPolytope
-from maniplexes.graphs import split_pair
-from maniplexes.polytopality import _certify_beta, _split, _spip_pairs
+from maniplexes.graphs import first_split
+from maniplexes.polytopality import _certify_beta, _spip_families, _subsets, _windows
 from conftest import (
     ditope,
     ALT_3TORUS_BASIS,
     POLYTOPAL_NAMES,
     dual,
+    lines_run,
     relabelled,
     torus11_times_bits,
 )
 import oracles
-from oracles import check_cip_via_chains
+from oracles import check_cip_via_chains, split_pair
 
 
 # -- CIP --------------------------------------------------------------------------
@@ -204,10 +204,10 @@ def test_split_at_representatives_matches_the_flag_level_oracle(
     inputs += [bitflip(n) for n in range(2, 7)] + [hypercube(3)]
     seen = {"holds": 0, "fails": 0, "one-block target": 0}
     for m in inputs:
-        for a, b in _spip_pairs(m.rank)[0]:
+        for _, a, b in _spip_families(m.rank)[1]:
             pa, pb, target = (m._components(x) for x in (a, b, a & b))
             want = oracles.split(pa, pb, target)
-            assert _split(m, a, b) == want
+            assert first_split(target, pa.ids, pb.ids) == want
             seen["holds" if want is None else "fails"] += 1
             seen["one-block target"] += target.block_count() == 1
     assert all(seen.values()), seen
@@ -222,8 +222,33 @@ def test_split_matches_the_oracle_on_random_refining_triples(data):
     pa, pb = (
         Partition(map(data.draw(labels).__getitem__, target.ids)) for _ in "ab"
     )
-    m = SimpleNamespace(_components={1: pa, 2: pb, 0: target}.__getitem__)
-    assert _split(m, 1, 2) == oracles.split(pa, pb, target)
+    assert first_split(target, pa.ids, pb.ids) == oracles.split(pa, pb, target)
+
+
+@given(st.data())
+def test_first_split_matches_the_block_walk_on_any_number_of_key_columns(data):
+    # zero columns is strong flag connectivity's interval 0..n-1: every
+    # flag has the key ()
+    size = data.draw(st.integers(1, 12))
+    labels = st.lists(st.integers(0, size - 1), min_size=size, max_size=size)
+    fine = Partition(data.draw(labels))
+    # each column labels fine's blocks, so fine refines the key classes
+    cols = [
+        tuple(map(data.draw(labels).__getitem__, fine.ids))
+        for _ in range(data.draw(st.integers(0, 3)))
+    ]
+    classes = Partition(tuple(col[v] for col in cols) for v in range(size))
+    want = None if classes == fine else split_pair(classes, fine)
+    assert first_split(fine, *cols) == want
+
+
+def test_first_split_names_no_pair_on_passing_criteria():
+    witness = "keys = list(zip(*map(at, key_columns)))"
+    m = bitflip(5)
+    criteria = lambda: (check_cip(m), check_wpip(m), check_spip(m))
+    assert witness not in lines_run(first_split, criteria)
+    m = torus_44(1, 1)
+    assert witness in lines_run(first_split, criteria)
 
 
 def test_spip_delegation_translates_wpip_witness():
@@ -251,15 +276,47 @@ def test_exhaustive_spip_fails_at_ranks_5_and_6(k, witness):
     assert res == CheckResult(False, witness)
 
 
+def _bits(mask):
+    return tuple(c for c in range(mask.bit_length()) if mask >> c & 1)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_spip_pair_counts(n):
-    pairs, co_pairs = _spip_pairs(n)
+    co_pairs, pairs = _spip_families(n)
     assert len(pairs) == (4**n - 2 * 3**n + 2**n) // 2
     assert len(co_pairs) == (3**n - 2 ** (n + 1) + 1) // 2
+    assert all(tag == (_bits(a), _bits(b)) for tag, a, b in pairs)
+    masks = [(a, b) for _, a, b in pairs]
     full = (1 << n) - 1
-    assert all(a | b == full and (a, b) in pairs for a, b, _ in co_pairs)
-    starts = [i for *_, i in co_pairs]
+    assert all(a | b == full and (a, b) in masks for _, a, b in co_pairs)
+    # each co-pair starts at the first pair whose co-pair it is
+    for i, a, b in co_pairs:
+        pa, pb = masks[i]
+        co = pa | (full ^ pb)
+        assert (min(co, pb), max(co, pb)) == (a, b)
+    starts = [i for i, _, _ in co_pairs]
     assert starts == sorted(set(starts))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_cip_and_window_family_tables(n):
+    full = (1 << n) - 1
+    subsets = list(_subsets(n))
+    assert len(subsets) == 2**n - n - 1
+    # each subset meets in the mask with all of it removed
+    assert all(a & b == full - sum(1 << c for c in sub) for sub, a, b in subsets)
+    sizes = [len(sub) for sub, _, _ in subsets]
+    assert sizes == sorted(sizes)
+    windows = _windows(n)
+    assert len(windows) == n * (n - 1) // 2
+    for (low, high), above, below in windows:
+        assert _bits(above) == tuple(range(low + 1, n))
+        assert _bits(below) == tuple(range(high))
+    if n > 6:
+        # above rank 6 SPIP decides on the windows and names its witness there
+        deciding, pairs = _spip_families(n)
+        assert deciding == tuple((i, a, b) for i, (_, a, b) in enumerate(windows))
+        assert pairs == tuple(((_bits(a), _bits(b)), a, b) for _, a, b in windows)
 
 
 def _fails(m, a, b):
