@@ -351,9 +351,11 @@ def first_split(
     repeated key and ``j`` that key's next block.  With no columns every
     flag has the key ``()``."""
     reps = fine.reps
+    if len(reps) < 2:
+        return None
     if not key_columns:
-        return None if len(reps) < 2 else (reps[0], reps[1])
-    at = gather(reps)
+        return reps[0], reps[1]
+    at = operator.itemgetter(*reps)
     if len(set(zip(*map(at, key_columns)))) == len(reps):
         return None
     keys = list(zip(*map(at, key_columns)))

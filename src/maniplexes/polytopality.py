@@ -10,6 +10,9 @@ colour-set pairs ``(A, B)``, and cross-compared:
 * the full property over every nonempty colour subset (``check_cip``),
 * the window property over colour intervals (``check_wpip``),
 * the symmetric property over arbitrary colour-subset pairs (``check_spip``).
+
+Each is a family of ``(tag, a, b)`` colour-mask pairs, and one lazy scan,
+``_failures``, yields the tag and witness flags of each failing pair.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
-from typing import Hashable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import InconsistentVerdicts, ManiplexError, NotAPolytope
 from .graphs import build_graph, first_split
@@ -88,26 +91,22 @@ class PolytopalityReport:
     flag_graph_isomorphism: Optional[tuple[int, ...]]
 
 
-Family = Iterable[tuple[Hashable, int, int]]
-
-
-def _failures(m: Maniplex, family: Family, start: int = 0) -> Iterator[tuple]:
+def _failures(m: Maniplex, family: Iterable[tuple], start: int = 0) -> Iterator[tuple]:
     """``(tag, split)``, lazily from index ``start`` on, for each ``(tag, a,
-    b)`` of ``family`` whose components over colour masks ``a`` and ``b``
-    meet coarser than those over ``a & b``, which refine both: the meet is
-    the classes of the pair of ids over ``a`` and ``b``, and ``split`` is
-    the first pair :func:`~maniplexes.graphs.first_split` names for them."""
+    b)`` of ``family`` whose components over masks ``a`` and ``b`` meet
+    coarser than those over ``a & b``, which refine both: ``split`` is their
+    :func:`~maniplexes.graphs.first_split` keyed by the ids over each side."""
+    parts = m._components
     for tag, a, b in islice(family, start, None):
-        pa, pb, target = m._components(a), m._components(b), m._components(a & b)
+        pa, pb, target = parts(a), parts(b), parts(a & b)
         split = first_split(target, pa.ids, pb.ids)
         if split is not None:
             yield tag, split
 
 
-def _subsets(n: int) -> Family:
-    """CIP's family: each subset ``S`` of two or more colours, by size and
-    then lexicographic, with the masks of all but ``S`` minus its last
-    colour and of all but that colour."""
+def _subsets(n: int) -> Iterator[tuple]:
+    """CIP's family: subsets ``S`` of two or more colours by size, then
+    lexicographic, with the masks of all but ``S[:-1]`` and all but ``S[-1]``."""
     full, bits = (1 << n) - 1, [1 << c for c in range(n)]
     for size in range(2, n + 1):
         for sub, masks in zip(combinations(range(n), size), combinations(bits, size)):
@@ -115,7 +114,7 @@ def _subsets(n: int) -> Family:
 
 
 @lru_cache(maxsize=None)
-def _windows(n: int) -> Family:
+def _windows(n: int) -> tuple[tuple, ...]:
     """WPIP's family: ``((low, high), above, below)`` for ``low < high``,
     the masks of the colours above ``low`` and below ``high``."""
     pairs = combinations(range(n), 2)
@@ -123,7 +122,7 @@ def _windows(n: int) -> Family:
 
 
 @lru_cache(maxsize=None)
-def _spip_families(n: int) -> tuple[Family, Family]:
+def _spip_families(n: int) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
     """SPIP's deciding family, each pair tagged with the index where the
     witness scan starts, and its witness family, tagged by colour tuples.
 
