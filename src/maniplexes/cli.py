@@ -34,7 +34,7 @@ from .mpxio import (
     write_mpx,
 )
 from .graphs import are_isomorphic
-from .posets import induced_poset, is_polytope
+from .posets import PosetReport, induced_poset, is_polytope
 from .polytopality import is_polytopal
 
 USAGE_ERROR = 64
@@ -71,6 +71,15 @@ def _emit(text: str, output: str) -> None:
 
 def _fmt_set(colours) -> str:
     return "{" + ",".join(map(str, colours)) + "}"
+
+
+def _fmt_checks(report: PosetReport) -> str:
+    return (
+        f"uniform={report.uniform_chain_length.holds} "
+        f"diamond={report.diamond.holds} "
+        f"strongly-flag-connected={report.strong_flag_connected.holds} "
+        f"faithful={report.faithful.holds}"
+    )
 
 
 def _cmd_check(args) -> int:
@@ -114,13 +123,7 @@ def _cmd_check(args) -> int:
                 f"B={_fmt_set(w.colours_b)} (flags {w.flag_a} and {w.flag_b})"
             )
         po = report.poset
-        print(
-            f"poset: {po.chain_count} maximal chains; "
-            f"uniform={po.uniform_chain_length.holds} "
-            f"diamond={po.diamond.holds} "
-            f"strongly-flag-connected={po.strong_flag_connected.holds} "
-            f"faithful={po.faithful.holds}"
-        )
+        print(f"poset: {po.chain_count} maximal chains; {_fmt_checks(po)}")
         print(f"polytopal: {'yes' if report.polytopal else 'no'}")
     return 0 if report.polytopal else 1
 
@@ -155,12 +158,7 @@ def _cmd_poset(args) -> int:
     counts = " ".join(str(c) for c in p.counts())
     print(f"rank {p.n}, faces per rank: {counts}")
     print(f"maximal chains: {report.chain_count}")
-    print(
-        f"uniform={report.uniform_chain_length.holds} "
-        f"diamond={report.diamond.holds} "
-        f"strongly-flag-connected={report.strong_flag_connected.holds} "
-        f"faithful={report.faithful.holds}"
-    )
+    print(_fmt_checks(report))
     print(f"polytope: {'yes' if report.is_polytope else 'no'}")
     return 0
 

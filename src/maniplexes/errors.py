@@ -52,11 +52,7 @@ class MultiEdge(ManiplexError):
         )
 
 
-class DisconnectedInput(ManiplexError):
-    """An operation that needs a connected graph received a disconnected one."""
-
-
-class Disconnected(DisconnectedInput):
+class Disconnected(ManiplexError):
     """A maniplex graph is disconnected; carries two separated flags."""
 
     def __init__(self, flag_a: int, flag_b: int):

@@ -217,9 +217,6 @@ class Partition:
     def same_block(self, a: int, b: int) -> bool:
         return self.ids[a] == self.ids[b]
 
-    def is_discrete(self) -> bool:
-        return self.block_count() == self.size
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Partition) and self.ids == other.ids
 
@@ -362,22 +359,6 @@ def first_split(
     count = Counter(keys)
     i = next(k for k, key in enumerate(keys) if count[key] > 1)
     return reps[i], reps[keys.index(keys[i], i + 1)]
-
-
-def meet_all(parts: Iterable[Partition]) -> Partition:
-    """Meet of a non-empty iterable of partitions."""
-    it = iter(parts)
-    try:
-        acc = next(it)
-    except StopIteration:
-        raise OutOfRange("meet_all needs at least one partition") from None
-    for p in it:
-        acc = partition_meet(acc, p)
-    return acc
-
-
-def is_connected(graph: ColouredGraph) -> bool:
-    return components(graph, graph.colours()).block_count() == 1
 
 
 def are_isomorphic(

@@ -305,6 +305,8 @@ def normalize_path(
     for c in path.colours:
         if c in piv:
             raise PathUsesPivotColour(f"path step uses pivot colour {c}")
+    if walk(m, path.start, path.colours) != path.end:
+        raise OutOfRange(f"path end {path.end} is not where its colours lead")
 
     cols = list(path.colours)
     # Each pass applies the first applicable rule; (length, inversions)

@@ -72,12 +72,15 @@ def is_covering(m: Maniplex, n: Maniplex, phi: tuple[int, ...]) -> bool:
     """Whether ``phi`` is a colour-preserving surjection from M onto N."""
     if m.rank != n.rank or len(phi) != m.size:
         return False
-    if min(phi) < 0 or max(phi) >= n.size:
-        return False
-    at_phi = gather(phi)
-    for mm, nn in zip(m.graph.matchings, n.graph.matchings):
-        if gather(mm)(phi) != at_phi(nn):
+    try:
+        if min(phi) < 0 or max(phi) >= n.size:
             return False
+        at_phi = gather(phi)
+        for mm, nn in zip(m.graph.matchings, n.graph.matchings):
+            if gather(mm)(phi) != at_phi(nn):
+                return False
+    except TypeError:  # an entry that is not a flag index
+        return False
     return len(set(phi)) == n.size
 
 

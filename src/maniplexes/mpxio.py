@@ -89,9 +89,9 @@ def write_mpx(graph: ColouredGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_dot(graph: ColouredGraph, name: str = "maniplex") -> str:
+def write_dot(graph: ColouredGraph) -> str:
     """An undirected DOT graph with a ``color=<i>`` attribute per edge."""
-    lines = [f"graph {name} {{", "  node [shape=point];"]
+    lines = ["graph maniplex {", "  node [shape=point];"]
     for c, row in enumerate(graph.matchings):
         for v in range(graph.size):
             if v < row[v]:

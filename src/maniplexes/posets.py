@@ -475,74 +475,3 @@ def _build_report(p: InducedPoset) -> PosetReport:
 def is_polytope(p: InducedPoset) -> PosetReport:
     """Ranked + uniform chains + diamond + strong flag connectivity."""
     return p.report()
-
-
-def poset_isomorphic(
-    p: InducedPoset, q: InducedPoset
-) -> Optional[dict[Ref, Ref]]:
-    """An order isomorphism matching ranks, or ``None``.
-
-    Backtracking, on an explicit stack, over proper elements in breadth-first
-    order along consecutive-rank incidences.  An element's candidates are the
-    neighbours of its parent's image (any element, for a component's first)
-    with its rank and comparable-rank profile, comparable to exactly the
-    images of the mapped elements comparable to it.  Improper elements are
-    mapped to each other implicitly.
-    """
-    if p.n != q.n or p.counts() != q.counts():
-        return None
-
-    def comparable(s: InducedPoset) -> dict[Ref, set[Ref]]:
-        near: dict[Ref, set[Ref]] = {ref: set() for ref in s.refs()}
-        for r, k in s.refs():
-            for t in range(r + 1, s.n):
-                for l in s.up[r][t][k]:
-                    near[(r, k)].add((t, l))
-                    near[(t, l)].add((r, k))
-        return near
-
-    p_near, q_near = comparable(p), comparable(q)
-    # an element's rank and the ranks of the elements comparable to it
-    p_prof = {a: (a[0], sorted(r for r, _ in x)) for a, x in p_near.items()}
-    q_prof = {b: (b[0], sorted(r for r, _ in x)) for b, x in q_near.items()}
-    if sorted(p_prof.values()) != sorted(q_prof.values()):
-        return None
-
-    parent: dict[Ref, Optional[Ref]] = {}
-    for root in p.refs():
-        if root not in parent:
-            parent[root] = None
-            queue = [root]
-            for a in queue:
-                for b in sorted(p_near[a]):
-                    if abs(b[0] - a[0]) == 1 and b not in parent:
-                        parent[b] = a
-                        queue.append(b)
-    order = list(parent)
-    mapping: dict[Ref, Ref] = {}
-    used: set[Ref] = set()
-
-    def candidates(depth: int) -> Iterator[Ref]:
-        # first advanced while exactly ``order[:depth]`` is mapped
-        a = order[depth]
-        images = {mapping[x] for x in p_near[a] if x in mapping}
-        pool = q.refs() if parent[a] is None else sorted(q_near[mapping[parent[a]]])
-        for b in pool:
-            if b not in used and q_prof[b] == p_prof[a] and q_near[b] & used == images:
-                yield b
-
-    stack = [candidates(0)]
-    while stack and len(mapping) < len(order):
-        a = order[len(stack) - 1]
-        if a in mapping:
-            used.remove(mapping.pop(a))
-        b = next(stack[-1], None)
-        if b is None:
-            stack.pop()
-        else:
-            mapping[a] = b
-            used.add(b)
-            stack.append(candidates(len(stack)))
-    if len(mapping) < len(order):
-        return None
-    return {**mapping, (-1, 0): (-1, 0), (p.n, 0): (q.n, 0)}

@@ -34,7 +34,8 @@ partitions of each subset, and SPIP above rank 6 translates the interval
 witness.  ``are_isomorphic`` and ``find_covering`` are the library's former
 searches, kept verbatim: every flag of the target is tried as the image of
 flag 0, in ascending order, with no pruning, and ``are_isomorphic`` checks
-that both graphs are connected.  ``build_graph`` and ``is_covering`` are
+that both graphs are connected (one component over every colour) and raises
+``ManiplexError`` otherwise.  ``build_graph`` and ``is_covering`` are
 the library's former validation and covering test, kept verbatim: they
 decide every row and every colour by a scan over the flags.
 ``mix_with_projections`` is the library's
@@ -43,13 +44,20 @@ then a second pass over every pair to fill the rows.  ``ChainValidated`` is
 a maniplex checked by the library's former validation, kept verbatim: it
 always builds the components over all colours to decide connectivity, where
 the library first reads a certificate from the flag numbering.
+
+Two helpers left the package because only the suite used them: ``meet_all``
+folds ``partition_meet`` over a non-empty iterable of partitions, and
+``poset_isomorphic`` is the package's former order isomorphism of induced
+posets, kept verbatim: a backtracking search over proper elements in
+breadth-first order along consecutive-rank incidences.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import reduce
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from maniplexes import (
     CheckResult,
@@ -67,16 +75,14 @@ from maniplexes import (
     chain_intersection,
     chain_of_flag,
     induced_poset,
-    is_connected,
-    meet_all,
     partition_meet,
 )
 from maniplexes.errors import (
     BadTwoFactor,
     Disconnected,
-    DisconnectedInput,
     FixedPoint,
     InconsistentVerdicts,
+    ManiplexError,
     MultiEdge,
     NotInvolution,
     OutOfRange,
@@ -226,6 +232,11 @@ def faithful_by_enumeration(m: Maniplex, p: InducedPoset) -> CheckResult:
     return CheckResult(True)
 
 
+def meet_all(parts: Iterable[Partition]) -> Partition:
+    """Meet of a non-empty iterable of partitions."""
+    return reduce(partition_meet, parts)
+
+
 def is_faithful(m: Maniplex) -> CheckResult:
     """Whether distinct flags always lie on distinct maximal chains.
 
@@ -238,7 +249,7 @@ def is_faithful(m: Maniplex) -> CheckResult:
         for i in range(m.rank)
     ]
     met = meet_all(parts)
-    if met.is_discrete():
+    if met.block_count() == m.size:
         return CheckResult(True)
     block = next(b for b in met.blocks() if len(b) > 1)
     return CheckResult(False, (chain_of_flag(m, block[0]), (block[0], block[1])))
@@ -583,8 +594,8 @@ def are_isomorphic(
         return None
     if g.size != h.size:
         return None
-    if not is_connected(g) or not is_connected(h):
-        raise DisconnectedInput("isomorphism search requires connected graphs")
+    if any(components(x, x.colours()).block_count() != 1 for x in (g, h)):
+        raise ManiplexError("isomorphism search requires connected graphs")
     for anchor in range(h.size):
         phi = _propagate(g, h, anchor)
         if phi is not None and len(set(phi)) == g.size:
@@ -679,3 +690,79 @@ def mix_with_projections(
     proj_m = tuple(a for a, _ in order)
     proj_n = tuple(b for _, b in order)
     return mixed, proj_m, proj_n
+
+
+# -- order isomorphism of posets -------------------------------------------------
+
+Ref = tuple[int, int]
+
+
+def poset_isomorphic(
+    p: InducedPoset, q: InducedPoset
+) -> Optional[dict[Ref, Ref]]:
+    """An order isomorphism matching ranks, or ``None``.
+
+    Backtracking, on an explicit stack, over proper elements in breadth-first
+    order along consecutive-rank incidences.  An element's candidates are the
+    neighbours of its parent's image (any element, for a component's first)
+    with its rank and comparable-rank profile, comparable to exactly the
+    images of the mapped elements comparable to it.  Improper elements are
+    mapped to each other implicitly.
+    """
+    if p.n != q.n or p.counts() != q.counts():
+        return None
+
+    def comparable(s: InducedPoset) -> dict[Ref, set[Ref]]:
+        near: dict[Ref, set[Ref]] = {ref: set() for ref in s.refs()}
+        for r, k in s.refs():
+            for t in range(r + 1, s.n):
+                for l in s.up[r][t][k]:
+                    near[(r, k)].add((t, l))
+                    near[(t, l)].add((r, k))
+        return near
+
+    p_near, q_near = comparable(p), comparable(q)
+    # an element's rank and the ranks of the elements comparable to it
+    p_prof = {a: (a[0], sorted(r for r, _ in x)) for a, x in p_near.items()}
+    q_prof = {b: (b[0], sorted(r for r, _ in x)) for b, x in q_near.items()}
+    if sorted(p_prof.values()) != sorted(q_prof.values()):
+        return None
+
+    parent: dict[Ref, Optional[Ref]] = {}
+    for root in p.refs():
+        if root not in parent:
+            parent[root] = None
+            queue = [root]
+            for a in queue:
+                for b in sorted(p_near[a]):
+                    if abs(b[0] - a[0]) == 1 and b not in parent:
+                        parent[b] = a
+                        queue.append(b)
+    order = list(parent)
+    mapping: dict[Ref, Ref] = {}
+    used: set[Ref] = set()
+
+    def candidates(depth: int) -> Iterator[Ref]:
+        # first advanced while exactly ``order[:depth]`` is mapped
+        a = order[depth]
+        images = {mapping[x] for x in p_near[a] if x in mapping}
+        pool = q.refs() if parent[a] is None else sorted(q_near[mapping[parent[a]]])
+        for b in pool:
+            if b not in used and q_prof[b] == p_prof[a] and q_near[b] & used == images:
+                yield b
+
+    stack = [candidates(0)]
+    while stack and len(mapping) < len(order):
+        a = order[len(stack) - 1]
+        if a in mapping:
+            used.remove(mapping.pop(a))
+        b = next(stack[-1], None)
+        if b is None:
+            stack.pop()
+        else:
+            mapping[a] = b
+            used.add(b)
+            stack.append(candidates(len(stack)))
+    if len(mapping) < len(order):
+        return None
+    return {**mapping, (-1, 0): (-1, 0), (p.n, 0): (q.n, 0)}

@@ -33,7 +33,6 @@ from maniplexes import (
     is_polytopal,
     klein_44,
     make_path,
-    meet_all,
     mix,
     normalize_path,
     polygon,
@@ -45,6 +44,7 @@ from maniplexes import (
     write_mpx,
 )
 from conftest import ALT_3TORUS_BASIS
+from oracles import meet_all
 
 # -------------------------------------------------------------------------------
 

@@ -206,6 +206,13 @@ def test_poset_summary():
     assert "maximal chains" in r.stdout
 
 
+def test_check_and_poset_print_the_same_poset_checks():
+    checks = "uniform=True diamond=False strongly-flag-connected=True faithful=True"
+    check, poset = run("check", T11), run("poset", T11)
+    assert f"poset: 16 maximal chains; {checks}\n" in check.stdout
+    assert f"maximal chains: 16\n{checks}\npolytope: no\n" in poset.stdout
+
+
 def test_poset_dot():
     r = run("poset", "--dot", T11)
     assert r.returncode == 0

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maniplexes import (
+    ColouredPath,
     Maniplex,
     bitflip,
     build_graph,
@@ -456,6 +457,14 @@ def test_normalize_path_rejects_pivot_colour():
     m = hypercube(3)
     with pytest.raises(PathUsesPivotColour):
         normalize_path(m, make_path(m, 0, [1]), [1])
+
+
+def test_normalize_path_rejects_an_end_its_colours_do_not_reach():
+    m = torus_44(1, 1)
+    assert walk(m, 0, (0,)) != 5
+    for pivots in ([], [2]):
+        with pytest.raises(OutOfRange, match="path end 5 "):
+            normalize_path(m, ColouredPath(0, (0,), 5), pivots)
 
 
 def test_normalize_path_rejects_bad_pivots():

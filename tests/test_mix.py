@@ -224,6 +224,16 @@ def test_is_covering_rejects_a_broken_map():
     assert not is_covering(t20, t10, tuple([0] * 32))
 
 
+@pytest.mark.parametrize("entry", [1.0, "1", None], ids=["float", "str", "None"])
+def test_is_covering_refuses_a_non_integer_entry(entry):
+    t20, t10 = torus_44(2, 0), torus_44(1, 0)
+    phi = find_covering(t20, t10).map
+    for v in (0, 17, 31):
+        assert not is_covering(t20, t10, phi[:v] + (entry,) + phi[v + 1 :]), v
+    assert not is_covering(t20, t10, (entry,) * len(phi))
+    assert not is_covering(t20, t10, tuple(map(float, phi)))
+
+
 def test_is_covering_matches_the_flag_scan_oracle():
     """Coverings, maps with negative images or images past the target,
     maps that break a colour, and a colour-preserving map that is not onto

@@ -24,7 +24,6 @@ from maniplexes import (
     induced_poset,
     is_polytopal,
     klein_44,
-    meet_all,
     partition_meet,
     polygon,
     rectified_cubic_3torus,
@@ -43,7 +42,7 @@ from conftest import (
     torus11_times_bits,
 )
 import oracles
-from oracles import check_cip_via_chains, split_pair
+from oracles import check_cip_via_chains, meet_all, split_pair
 
 
 # -- CIP --------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from maniplexes import (
     is_polytope,
     maximal_chains,
     polygon,
-    poset_isomorphic,
     rectified_cubic_3torus,
     section,
     strong_flag_connectivity,
@@ -33,7 +32,7 @@ from maniplexes import (
 )
 from maniplexes.errors import NoFlagSets, NotAChain, NotComparable, OutOfRange
 from conftest import ALT_3TORUS_BASIS, relabelled, torus11_times_bits
-from oracles import faithful_by_chain_count, faithful_by_enumeration
+from oracles import faithful_by_chain_count, faithful_by_enumeration, poset_isomorphic
 
 
 # (proper level sizes, maximal chains, uniform, diamond, sfc, faithful, polytope)
