@@ -93,7 +93,9 @@ class Maniplex:
     connectivity is decided by its components over all colours.  Component
     partitions are cached per colour subset, and each colour's
     :func:`~maniplexes.graphs.edge_gather` is built on its first
-    :func:`~maniplexes.graphs.join`.
+    :func:`~maniplexes.graphs.join`.  Which neighbouring colours commute is
+    read on the first partition built after validation, and the split
+    results of the intersection criteria are cached per unordered mask pair.
     """
 
     def __init__(self, graph: ColouredGraph):
@@ -103,7 +105,12 @@ class Maniplex:
         self._parts = {0: discrete(self.size)}
         self._edges: list[Optional[Edges]] = [None] * self.rank
         self._faces: dict[int, tuple[Face, ...]] = {}
+        self._splits: dict[tuple[int, int], Optional[tuple[int, int]]] = {}
+        # Bit c of _links is set when colours c and c + 1 do not commute.
+        # Validation counts every neighbour pair as not commuting.
+        self._links: Optional[int] = -1
         self._validate()
+        self._links = None
 
     def _validate(self) -> None:
         g = self.graph
@@ -142,18 +149,23 @@ class Maniplex:
     def _components(self, mask: int) -> Partition:
         """Cached components over the colours in ``mask``.
 
-        A colour of ``mask`` with neither neighbour in it commutes with the
-        rest of ``mask``, so it maps each component over the rest onto one
-        component: the lowest such colour pairs the blocks over ``mask``
-        without it (:func:`~maniplexes.graphs.pair_join`).  Any other mask
-        joins those over ``mask`` without its top colour along that colour.
-        Validation, when it needs the components over all colours, reaches
-        a lone colour only at mask 1, from singletons, so it does not rely on
-        the axiom it checks.
+        A colour of ``mask`` that commutes with the rest of ``mask`` maps
+        each component over the rest onto one component: the lowest such
+        colour pairs the blocks over ``mask`` without it
+        (:func:`~maniplexes.graphs.pair_join`).  Distant colours commute, so
+        a colour commutes with the rest when each neighbour it has in
+        ``mask`` commutes with it.  Any other mask joins those over ``mask``
+        without its top colour along that colour.  Validation counts no
+        neighbours as commuting, so when it needs the components over all
+        colours it reaches such a colour only at mask 1, from singletons,
+        and does not rely on the axiom it checks.
         """
         part = self._parts.get(mask)
         if part is None:
-            lone = mask & ~(mask << 1) & ~(mask >> 1)
+            links = self._links
+            if links is None:
+                links = self._links = self._noncommuting_neighbours()
+            lone = mask & ~((links & mask >> 1) | (links & mask) << 1)
             c = (lone & -lone if lone else mask).bit_length() - 1
             prefix = self._components(mask ^ (1 << c))
             if lone:
@@ -165,6 +177,16 @@ class Maniplex:
                 part = join(prefix, edges)
             self._parts[mask] = part
         return part
+
+    def _noncommuting_neighbours(self) -> int:
+        """The mask of the colours ``c`` for which ``c`` and ``c + 1`` do
+        not commute, each decided by one whole-row gather comparison."""
+        rows = self.graph.matchings
+        links = 0
+        for c in range(self.rank - 1):
+            if gather(rows[c + 1])(rows[c]) != gather(rows[c])(rows[c + 1]):
+                links |= 1 << c
+        return links
 
     def _face_rank(self, i: int) -> int:
         return index_in_range(i, self.rank, RankOutOfRange, "face rank")

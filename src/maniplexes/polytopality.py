@@ -95,11 +95,19 @@ def _failures(m: Maniplex, family: Iterable[tuple], start: int = 0) -> Iterator[
     """``(tag, split)``, lazily from index ``start`` on, for each ``(tag, a,
     b)`` of ``family`` whose components over masks ``a`` and ``b`` meet
     coarser than those over ``a & b``, which refine both: ``split`` is their
-    :func:`~maniplexes.graphs.first_split` keyed by the ids over each side."""
-    parts = m._components
+    :func:`~maniplexes.graphs.first_split` keyed by the ids over each side.
+
+    Each unordered pair is split once per maniplex: its verdict and witness
+    do not depend on the order of the two key columns, so the families of
+    all three criteria share the maniplex's memo of split results."""
+    parts, splits = m._components, m._splits
     for tag, a, b in islice(family, start, None):
-        pa, pb, target = parts(a), parts(b), parts(a & b)
-        split = first_split(target, pa.ids, pb.ids)
+        pair = (a, b) if a < b else (b, a)
+        try:
+            split = splits[pair]
+        except KeyError:
+            pa, pb = parts(a), parts(b)
+            split = splits[pair] = first_split(parts(a & b), pa.ids, pb.ids)
         if split is not None:
             yield tag, split
 

@@ -300,9 +300,10 @@ def test_partitions_from_cached_prefixes_equal_graph_components(all_fixtures, co
 
 
 def test_bitflip8_joins_only_masks_without_a_lone_colour(monkeypatch):
-    """Of the 255 nonempty masks of rank 8, the 64 in which every colour
-    has a neighbour in the mask go through the union-find; the others pair
-    blocks, and colour 0's edge gather is never built."""
+    """Every colour of a bit-flip maniplex commutes with every other, so
+    each of the 255 nonempty masks of rank 8 pairs blocks along its lowest
+    colour: no mask goes through the union-find, and no edge gather, colour
+    0's included, is ever built."""
     calls = []
 
     def counting_join(part, edges):
@@ -315,8 +316,62 @@ def test_bitflip8_joins_only_masks_without_a_lone_colour(monkeypatch):
     for mask in range(1, 1 << 8):
         m._components(mask)
     assert len(m._parts) == 256
-    assert len(calls) == 64
-    assert m._edges[0] is None
+    assert m._links == 0
+    assert calls == []
+    assert m._edges[0] is None and m._edges == [None] * 8
+
+
+def _joined_masks(m, monkeypatch):
+    """The masks that a fresh build of every mask of ``m``, in ascending
+    order, sends through the union-find."""
+    joined = set()
+    mask = None
+
+    def recording_join(part, edges):
+        joined.add(mask)
+        return join(part, edges)
+
+    monkeypatch.setattr(maniplex_module, "join", recording_join)
+    m._parts = {0: m._parts[0]}
+    for mask in range(1, 1 << m.rank):
+        # Each smaller mask is cached, so only this one is built.
+        m._components(mask)
+    return joined
+
+
+def test_masks_without_commuting_neighbours_join_as_lone_colours_did(monkeypatch):
+    """No neighbouring colours of ``hypercube(4)`` or ``torus_44(2, 0)``
+    commute, so the masks they join are exactly those in which every colour
+    has a neighbour."""
+    for m in (hypercube(4), torus_44(2, 0)):
+        full = (1 << m.rank) - 1
+        no_lone = {x for x in range(1, full + 1) if not x & ~(x << 1) & ~(x >> 1)}
+        assert _joined_masks(m, monkeypatch) == no_lone
+        assert m._links == full >> 1
+
+
+def test_validation_never_reads_which_neighbours_commute(monkeypatch):
+    """Validation pairs blocks only along colours with no neighbour in the
+    mask, so two disjoint copies of ``bitflip(3)``, whose colours all
+    commute, are still found disconnected by their components, and a valid
+    maniplex that is not numbered breadth-first validates without reading
+    its commuting neighbours."""
+
+    def refuse(self):
+        raise AssertionError("validation read the commuting neighbours")
+
+    monkeypatch.setattr(Maniplex, "_noncommuting_neighbours", refuse)
+    twice = [row + tuple(w + 8 for w in row) for row in bitflip(3).graph.matchings]
+    with pytest.raises(Disconnected) as exc:
+        validate(build_graph(3, twice))
+    assert (exc.value.flag_a, exc.value.flag_b) == (0, 8)
+    for m in (hypercube(4), torus_44(2, 0)):
+        assert len(Maniplex(m.graph)._parts) > 1
+    monkeypatch.undo()
+    m = Maniplex(torus_44(2, 0).graph)
+    assert m._links is None
+    m.face_partition(1)
+    assert m._links == 0b11
 
 
 def test_face_of_rank_out_of_range():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -30,8 +31,15 @@ from maniplexes import (
     torus_44,
 )
 from maniplexes.errors import InconsistentVerdicts, NotAPolytope
+from maniplexes import polytopality as polytopality_module
 from maniplexes.graphs import first_split
-from maniplexes.polytopality import _certify_beta, _spip_families, _subsets, _windows
+from maniplexes.polytopality import (
+    _certify_beta,
+    _failures,
+    _spip_families,
+    _subsets,
+    _windows,
+)
 from conftest import (
     ditope,
     ALT_3TORUS_BASIS,
@@ -239,6 +247,40 @@ def test_first_split_matches_the_block_walk_on_any_number_of_key_columns(data):
     classes = Partition(tuple(col[v] for col in cols) for v in range(size))
     want = None if classes == fine else split_pair(classes, fine)
     assert first_split(fine, *cols) == want
+
+
+@given(st.data())
+def test_first_split_ignores_the_order_of_two_key_columns(data):
+    # the scan's memo keys each mask pair unordered
+    size = data.draw(st.integers(1, 12))
+    labels = st.lists(st.integers(0, size - 1), min_size=size, max_size=size)
+    fine = Partition(data.draw(labels))
+    # each column labels fine's blocks, so fine refines the key classes
+    x, y = (tuple(map(data.draw(labels).__getitem__, fine.ids)) for _ in "xy")
+    assert first_split(fine, x, y) == first_split(fine, y, x)
+
+
+def test_each_mask_pair_is_split_once_per_maniplex(monkeypatch):
+    """The criteria share one memo of split results per maniplex: WPIP
+    splits only the windows that CIP did not, and SPIP only the co-pairs
+    that neither did; above rank 6 its pairs are the windows, so it splits
+    none."""
+    calls = []
+
+    def counting_split(*args):
+        calls.append(args)
+        return first_split(*args)
+
+    monkeypatch.setattr(polytopality_module, "first_split", counting_split)
+    assert (len(_windows(6)), len(_spip_families(6)[0])) == (15, 301)
+    for n, want in ((6, [57, 10, 234]), (7, [120, 15, 0]), (8, [247, 21, 0])):
+        m, got = bitflip(n), []
+        for check in (check_cip, check_wpip, check_spip):
+            calls.clear()
+            assert check(m)
+            got.append(len(calls))
+        assert got == want, n
+        assert len(m._splits) == sum(want), n
 
 
 def test_first_split_names_no_pair_on_passing_criteria():
@@ -573,16 +615,38 @@ def _poset_verdicts(r):
     )
 
 
+def _cip_failures(m):
+    """The subsets ``S`` whose meet over all of ``S`` of the components
+    without one colour of ``S`` is coarser than those without all of ``S``,
+    as ``oracles.check_cip`` judges them, which refine that meet: the
+    distinct keys of the meet are fewer than their blocks."""
+    n, failing = m.rank, set()
+    for size in range(2, n + 1):
+        for sub in combinations(range(n), size):
+            target = m.components_of(c for c in range(n) if c not in sub)
+            sides = [m.components_of(c for c in range(n) if c != i) for i in sub]
+            if len(set(zip(*(side.ids for side in sides)))) < target.block_count():
+                failing.add(sub)
+    return failing
+
+
+def _spip_failures(m):
+    """The failing incomparable pairs of colour sets, unordered, up to rank 6."""
+    pairs = _spip_families(m.rank)[1]
+    return {frozenset(map(frozenset, tag)) for tag, _ in _failures(m, pairs)}
+
+
 def test_colour_reversal_maps_verdicts_and_failures(all_fixtures, corpus):
     # The dual reverses every scan order: CIP's last colour, the windows and
     # the poset walk, which visits each section's two lowest ranks.  First
     # witnesses follow those orders, so only verdicts, counts and failure
     # sets are compared; a window (l, h) fails exactly when (n-1-h, n-1-l)
-    # fails in the dual.
+    # fails in the dual, and a subset or a pair of colour sets exactly when
+    # its reversal does.
     inputs = list(all_fixtures.items()) + [(s.seed, s.maniplex) for s in corpus]
     inputs += [(f"bitflip({n})", bitflip(n)) for n in range(2, 9)]
     inputs += [(f"times_bits({k})", torus11_times_bits(k)) for k in range(1, 4)]
-    polytopal = diamonds = 0
+    polytopal = diamonds = cip_failing = spip_failing = 0
     for label, m in inputs:
         d, n = dual(m), m.rank
         want, got = is_polytopal(m), is_polytopal(d)
@@ -591,9 +655,24 @@ def test_colour_reversal_maps_verdicts_and_failures(all_fixtures, corpus):
         assert _poset_verdicts(got.poset) == _poset_verdicts(want.poset), label
         mapped = {(n - 1 - h, n - 1 - l) for l, h in want.wpip.failures}
         assert set(got.wpip.failures) == mapped, label
+        cip = _cip_failures(m)
+        reversed_cip = {tuple(sorted(n - 1 - c for c in sub)) for sub in cip}
+        assert _cip_failures(d) == reversed_cip, label
+        assert bool(cip) != want.polytopal, label
+        if n <= 6:
+            spip = _spip_failures(m)
+            reversed_spip = {
+                frozenset(frozenset(n - 1 - c for c in side) for side in pair)
+                for pair in spip
+            }
+            assert _spip_failures(d) == reversed_spip, label
+            assert bool(spip) != want.polytopal, label
+            spip_failing += bool(spip)
         polytopal += want.polytopal
         diamonds += not want.poset.diamond.holds
+        cip_failing += bool(cip)
     assert (len(inputs), polytopal, diamonds) == (1028, 522, 505)
+    assert (cip_failing, spip_failing) == (506, 506)
 
 
 def test_ditope_keeps_the_verdict_and_adds_two_faces_at_its_end(
