@@ -318,7 +318,7 @@ def test_bitflip8_joins_only_masks_without_a_lone_colour(monkeypatch):
     assert len(m._parts) == 256
     assert m._links == 0
     assert calls == []
-    assert m._edges[0] is None and m._edges == [None] * 8
+    assert m._edges == [None] * 8
 
 
 def _joined_masks(m, monkeypatch):
