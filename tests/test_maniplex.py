@@ -339,7 +339,7 @@ def _joined_masks(m, monkeypatch):
     return joined
 
 
-def test_masks_without_commuting_neighbours_join_as_lone_colours_did(monkeypatch):
+def test_without_commuting_neighbours_the_masks_with_no_lone_colour_join(monkeypatch):
     """No neighbouring colours of ``hypercube(4)`` or ``torus_44(2, 0)``
     commute, so the masks they join are exactly those in which every colour
     has a neighbour."""
