@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 import random
+from functools import lru_cache
 from itertools import permutations
 from typing import Optional, Sequence
 
@@ -171,9 +172,7 @@ def _hnf_lower(mat: Sequence[Sequence[int]]) -> list[list[int]]:
         while True:
             nz = [r for r in range(col + 1) if m[r][col] != 0]
             if not nz:
-                raise DegenerateBasis(
-                    "the basis does not span three dimensions"
-                )
+                raise DegenerateBasis("the basis does not span three dimensions")
             if len(nz) == 1:
                 break
             nz.sort(key=lambda r: abs(m[r][col]))
@@ -190,6 +189,68 @@ def _hnf_lower(mat: Sequence[Sequence[int]]) -> list[list[int]]:
     return m
 
 
+_V = tuple[int, int, int]
+_Flag = tuple[_V, _V, _V, _V]
+
+
+def _add(a: _V, b: _V, k: int = 1) -> _V:
+    return (a[0] + k * b[0], a[1] + k * b[1], a[2] + k * b[2])
+
+
+def _is_tri(fs: _V) -> bool:
+    return fs[0] % 2 == 1  # triangle sums are all odd, square sums all even
+
+
+def _rect3_phi(c: int, fl: _Flag) -> _Flag:
+    """The colour-``c`` neighbour of a flag of the rectified cubic honeycomb."""
+    p, e, fs, cc = fl
+    if c == 0:
+        return (_add(e, p, -1), e, fs, cc)
+    if c == 1:
+        if _is_tri(fs):
+            return (p, _add(_add(fs, e, -1), p), fs, cc)
+        return (p, tuple(2 * p[k] + fs[k] // 2 - e[k] for k in range(3)), fs, cc)
+    if c == 2:
+        if not cc[0] % 2:  # octahedron: both faces at an edge are triangles
+            return (p, e, tuple(2 * (e[k] + cc[k]) - fs[k] for k in range(3)), cc)
+        d = _add(e, cc, -2)  # cuboctahedron: centres have all-odd coordinates
+        axis = next(k for k in range(3) if abs(d[k]) == 2)
+        s = d[axis] // 2
+        if _is_tri(fs):
+            fs2 = tuple(4 * cc[k] + (4 * s if k == axis else 0) for k in range(3))
+        else:
+            fs2 = tuple(3 * cc[k] + 2 * (s if k == axis else d[k]) for k in range(3))
+        return (p, e, fs2, cc)
+    if not _is_tri(fs):
+        return (p, e, fs, tuple(fs[k] // 2 - cc[k] for k in range(3)))
+    if cc[0] % 2:
+        return (p, e, fs, tuple((fs[k] - cc[k]) // 2 for k in range(3)))
+    return (p, e, fs, tuple(fs[k] - 2 * cc[k] for k in range(3)))
+
+
+@lru_cache(maxsize=None)
+def _rect3_types() -> tuple[tuple[_Flag, ...], tuple]:
+    """The honeycomb's 144 flag types, numbered breadth-first from the base
+    flag, and the table whose entry ``[t][c]`` is ``(u, d)``: the colour-``c``
+    neighbour of type ``t`` is type ``u`` moved by ``d`` units (``None``: no
+    move).  A flag's type is the flag moved by ``-(p // 2)`` units, which puts
+    its vertex ``p`` in the unit box; a unit is 2 in doubled coordinates.
+    """
+    moves: list[Optional[_V]] = []
+
+    def step(c: int, fl: _Flag) -> _Flag:
+        p, e, fs, cc = _rect3_phi(c, fl)
+        d = (p[0] // 2, p[1] // 2, p[2] // 2)
+        moves.append(d if any(d) else None)  # orbit's (4t + c)-th step
+        k = -6 if _is_tri(fs) else -8
+        return (_add(p, d, -2), _add(e, d, -4), _add(fs, d, k), _add(cc, d, -2))
+
+    types, rows = orbit(((1, 0, 0), (1, 1, 0), (4, 4, 0), (1, 1, 1)), step, 4)
+    return tuple(types), tuple(
+        tuple(zip(us, moves[4 * t : 4 * t + 4])) for t, us in enumerate(zip(*rows))
+    )
+
+
 def rectified_cubic_3torus(
     basis: Optional[Sequence[Sequence[int]]] = None,
 ) -> Maniplex:
@@ -203,85 +264,43 @@ def rectified_cubic_3torus(
 
     Coordinates are doubled so everything is integral: a flag stores the
     vertex, the edge's endpoint sum, the face's vertex sum, and the cell
-    centre.  Raises :class:`DegenerateBasis` for a singular basis.
+    centre.  Lattice vectors are unit translations, so a flag of the quotient
+    is a type of ``_rect3_types`` (built once per process) and a unit
+    translation reduced modulo the lattice; these states are numbered
+    breadth-first from the base flag.  Raises :class:`DegenerateBasis` for a
+    singular basis and :class:`BadParam` for a malformed one.
     """
     if basis is None:
         basis = DEFAULT_3TORUS_BASIS
-    rows_in = [[_integer("a basis entry", x) for x in row] for row in basis]
+    try:
+        rows_in = [[_integer("a basis entry", x) for x in row] for row in basis]
+    except TypeError:  # the basis or one of its rows is not iterable
+        rows_in = []
     if len(rows_in) != 3 or any(len(r) != 3 for r in rows_in):
         raise BadParam("the basis must be three integer 3-vectors")
-    h = _hnf_lower([[2 * x for x in row] for row in rows_in])
+    h = _hnf_lower(rows_in)
 
-    def canon(p: tuple[int, int, int]) -> tuple[int, int, int]:
-        v = list(p)
+    def canon(v: list[int]) -> _V:
         for k in (2, 1, 0):
             t = v[k] // h[k][k]
-            if t:
-                v[0] -= t * h[k][0]
-                v[1] -= t * h[k][1]
-                v[2] -= t * h[k][2]
+            v = [a - t * b for a, b in zip(v, h[k])]
         return tuple(v)
 
-    V = tuple[int, int, int]
+    table = _rect3_types()[1]
+    moved: dict[tuple[_V, _V], _V] = {}  # (translation, move) -> translation
 
-    def add(a: V, b: V, k: int = 1) -> V:
-        return (a[0] + k * b[0], a[1] + k * b[1], a[2] + k * b[2])
+    def step(c: int, state: tuple[int, _V]) -> tuple[int, _V]:
+        t, at = state
+        u, d = table[t][c]
+        if d is None:
+            return u, at
+        to = moved.get((at, d))
+        if to is None:
+            to = moved[at, d] = canon([at[0] + d[0], at[1] + d[1], at[2] + d[2]])
+        return u, to
 
-    def is_tri(fs: V) -> bool:
-        return fs[0] % 2 == 1  # triangle sums are all odd, square sums all even
-
-    def canon_flag(fl: tuple[V, V, V, V]) -> tuple[V, V, V, V]:
-        p, e, fs, cc = fl
-        g = add(canon(p), p, -1)
-        if g == (0, 0, 0):
-            return fl
-        k = 3 if is_tri(fs) else 4
-        return (add(p, g), add(e, g, 2), add(fs, g, k), add(cc, g))
-
-    def phi(c: int, fl: tuple[V, V, V, V]) -> tuple[V, V, V, V]:
-        p, e, fs, cc = fl
-        if c == 0:
-            return (add(e, p, -1), e, fs, cc)
-        if c == 1:
-            if is_tri(fs):
-                e2 = add(add(fs, e, -1), p)
-            else:
-                e2 = add(
-                    add((2 * p[0], 2 * p[1], 2 * p[2]),
-                        (fs[0] // 2, fs[1] // 2, fs[2] // 2)),
-                    e,
-                    -1,
-                )
-            return (p, e2, fs, cc)
-        if c == 2:
-            if cc[0] % 2:  # cuboctahedron: centres have all-odd coordinates
-                d = add(e, cc, -2)
-                axis = next(k for k in range(3) if abs(d[k]) == 2)
-                s = d[axis] // 2
-                if is_tri(fs):
-                    fs2 = tuple(
-                        4 * cc[k] + (4 * s if k == axis else 0)
-                        for k in range(3)
-                    )
-                else:
-                    sigma = list(d)
-                    sigma[axis] = s
-                    fs2 = tuple(3 * cc[k] + 2 * sigma[k] for k in range(3))
-            else:  # octahedron: both faces at an edge are triangles
-                fs2 = tuple(2 * (e[k] + cc[k]) - fs[k] for k in range(3))
-            return (p, e, fs2, cc)
-        if is_tri(fs):
-            if cc[0] % 2:
-                cc2 = tuple((fs[k] - cc[k]) // 2 for k in range(3))
-            else:
-                cc2 = tuple(fs[k] - 2 * cc[k] for k in range(3))
-        else:
-            cc2 = tuple(fs[k] // 2 - cc[k] for k in range(3))
-        return (p, e, fs, cc2)
-
-    seed = canon_flag(((1, 0, 0), (1, 1, 0), (4, 4, 0), (1, 1, 1)))
-    order, rows = orbit(seed, lambda c, fl: canon_flag(phi(c, fl)), 4)
-    expected = 18 * h[0][0] * h[1][1] * h[2][2]  # 144 * |det basis|
+    order, rows = orbit((0, (0, 0, 0)), step, 4)
+    expected = 144 * h[0][0] * h[1][1] * h[2][2]  # 144 * |det basis|
     if len(order) != expected:
         raise InconsistentVerdicts(f"expected {expected} flags, got {len(order)}")
     return Maniplex(build_graph(4, rows))

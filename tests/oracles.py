@@ -50,6 +50,11 @@ folds ``partition_meet`` over a non-empty iterable of partitions, and
 ``poset_isomorphic`` is the package's former order isomorphism of induced
 posets, kept verbatim: a backtracking search over proper elements in
 breadth-first order along consecutive-rank incidences.
+
+``rectified_cubic_3torus`` is the package's former 3-torus construction,
+kept verbatim: it walks the honeycomb's flags themselves, evaluating the
+geometry and reducing each flag modulo the lattice at every step, where the
+package walks flag types and translations.
 """
 
 from __future__ import annotations
@@ -78,6 +83,7 @@ from maniplexes import (
     partition_meet,
 )
 from maniplexes.errors import (
+    BadParam,
     BadTwoFactor,
     Disconnected,
     FixedPoint,
@@ -89,7 +95,8 @@ from maniplexes.errors import (
     RankMismatch,
     SizeMismatch,
 )
-from maniplexes.graphs import MAX_RANK, gather, index_in_range
+from maniplexes.generators import DEFAULT_3TORUS_BASIS, _hnf_lower, _integer
+from maniplexes.graphs import MAX_RANK, gather, index_in_range, orbit
 
 
 def build_graph(rank: int, matchings: Sequence[Sequence[int]]) -> ColouredGraph:
@@ -766,3 +773,100 @@ def poset_isomorphic(
     if len(mapping) < len(order):
         return None
     return {**mapping, (-1, 0): (-1, 0), (p.n, 0): (q.n, 0)}
+
+
+def rectified_cubic_3torus(
+    basis: Optional[Sequence[Sequence[int]]] = None,
+) -> Maniplex:
+    """The rectified cubic honeycomb quotiented by a rank-3 lattice.
+
+    The honeycomb's vertices are the edge midpoints of the unit cubic grid;
+    its cells are octahedra (one per grid vertex) and cuboctahedra (one per
+    cube), with triangles and squares between them.  ``basis`` gives three
+    integer translations spanning the quotient lattice (the default is a
+    determinant-4 lattice); the result has ``144 * |det basis|`` flags.
+
+    Coordinates are doubled so everything is integral: a flag stores the
+    vertex, the edge's endpoint sum, the face's vertex sum, and the cell
+    centre.  Raises :class:`DegenerateBasis` for a singular basis.
+    """
+    if basis is None:
+        basis = DEFAULT_3TORUS_BASIS
+    rows_in = [[_integer("a basis entry", x) for x in row] for row in basis]
+    if len(rows_in) != 3 or any(len(r) != 3 for r in rows_in):
+        raise BadParam("the basis must be three integer 3-vectors")
+    h = _hnf_lower([[2 * x for x in row] for row in rows_in])
+
+    def canon(p: tuple[int, int, int]) -> tuple[int, int, int]:
+        v = list(p)
+        for k in (2, 1, 0):
+            t = v[k] // h[k][k]
+            if t:
+                v[0] -= t * h[k][0]
+                v[1] -= t * h[k][1]
+                v[2] -= t * h[k][2]
+        return tuple(v)
+
+    V = tuple[int, int, int]
+
+    def add(a: V, b: V, k: int = 1) -> V:
+        return (a[0] + k * b[0], a[1] + k * b[1], a[2] + k * b[2])
+
+    def is_tri(fs: V) -> bool:
+        return fs[0] % 2 == 1  # triangle sums are all odd, square sums all even
+
+    def canon_flag(fl: tuple[V, V, V, V]) -> tuple[V, V, V, V]:
+        p, e, fs, cc = fl
+        g = add(canon(p), p, -1)
+        if g == (0, 0, 0):
+            return fl
+        k = 3 if is_tri(fs) else 4
+        return (add(p, g), add(e, g, 2), add(fs, g, k), add(cc, g))
+
+    def phi(c: int, fl: tuple[V, V, V, V]) -> tuple[V, V, V, V]:
+        p, e, fs, cc = fl
+        if c == 0:
+            return (add(e, p, -1), e, fs, cc)
+        if c == 1:
+            if is_tri(fs):
+                e2 = add(add(fs, e, -1), p)
+            else:
+                e2 = add(
+                    add((2 * p[0], 2 * p[1], 2 * p[2]),
+                        (fs[0] // 2, fs[1] // 2, fs[2] // 2)),
+                    e,
+                    -1,
+                )
+            return (p, e2, fs, cc)
+        if c == 2:
+            if cc[0] % 2:  # cuboctahedron: centres have all-odd coordinates
+                d = add(e, cc, -2)
+                axis = next(k for k in range(3) if abs(d[k]) == 2)
+                s = d[axis] // 2
+                if is_tri(fs):
+                    fs2 = tuple(
+                        4 * cc[k] + (4 * s if k == axis else 0)
+                        for k in range(3)
+                    )
+                else:
+                    sigma = list(d)
+                    sigma[axis] = s
+                    fs2 = tuple(3 * cc[k] + 2 * sigma[k] for k in range(3))
+            else:  # octahedron: both faces at an edge are triangles
+                fs2 = tuple(2 * (e[k] + cc[k]) - fs[k] for k in range(3))
+            return (p, e, fs2, cc)
+        if is_tri(fs):
+            if cc[0] % 2:
+                cc2 = tuple((fs[k] - cc[k]) // 2 for k in range(3))
+            else:
+                cc2 = tuple(fs[k] - 2 * cc[k] for k in range(3))
+        else:
+            cc2 = tuple(fs[k] // 2 - cc[k] for k in range(3))
+        return (p, e, fs, cc2)
+
+    seed = canon_flag(((1, 0, 0), (1, 1, 0), (4, 4, 0), (1, 1, 1)))
+    order, rows = orbit(seed, lambda c, fl: canon_flag(phi(c, fl)), 4)
+    expected = 18 * h[0][0] * h[1][1] * h[2][2]  # 144 * |det basis|
+    if len(order) != expected:
+        raise InconsistentVerdicts(f"expected {expected} flags, got {len(order)}")
+    return Maniplex(build_graph(4, rows))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -24,7 +25,9 @@ from maniplexes import (
     write_mpx,
 )
 from maniplexes.errors import BadParam, DegenerateBasis
-from conftest import ALT_3TORUS_BASIS
+from maniplexes.generators import _hnf_lower, _rect3_phi, _rect3_types
+from conftest import ALT_3TORUS_BASIS, lines_run
+import oracles
 
 
 # -- parameter validation --------------------------------------------------------
@@ -87,6 +90,16 @@ def test_3torus_rejects_singular_basis():
 def test_3torus_rejects_malformed_basis():
     with pytest.raises(BadParam):
         rectified_cubic_3torus(((1, 0, 0), (0, 1, 0)))
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [5, [1, 2, 3], [[1, 0, 0], [0, 1, 0], None]],
+    ids=["integer", "one_row", "none_row"],
+)
+def test_3torus_rejects_a_basis_whose_rows_are_not_vectors(basis):
+    with pytest.raises(BadParam):
+        rectified_cubic_3torus(basis)
 
 
 # -- sizes ------------------------------------------------------------------------
@@ -190,6 +203,58 @@ def test_torus_mpx_bytes_are_pinned():
 def test_3torus_mpx_bytes_are_pinned(basis):
     text = write_mpx(rectified_cubic_3torus(basis).graph)
     assert hashlib.sha256(text.encode()).hexdigest() == RECT_3TORUS_DIGESTS[basis]
+
+
+def test_3torus_type_table_has_144_types_and_colours_are_involutions():
+    types, table = _rect3_types()
+    assert len(types) == len(table) == 144
+    zero = (0, 0, 0)  # the table's None
+    for t, steps in enumerate(table):
+        for c, (u, d) in enumerate(steps):
+            back, e = table[u][c]
+            assert back == t, (t, c)
+            assert [x + y for x, y in zip(d or zero, e or zero)] == [0, 0, 0], (t, c)
+
+
+def test_3torus_geometry_runs_only_while_the_table_is_built():
+    def call():
+        return rectified_cubic_3torus(ALT_3TORUS_BASIS)
+
+    _rect3_types.cache_clear()
+    assert lines_run(_rect3_phi, call)  # the first call builds the table
+    assert lines_run(_rect3_phi, rectified_cubic_3torus) == set()
+    assert lines_run(_rect3_types.__wrapped__, call) == set()
+
+
+def _sweep_bases(count: int = 30) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
+    """Seeded nonsingular bases with entries in -2..2 and ``|det| <= 4``, each
+    with its determinant."""
+    rng = random.Random(25)
+    out = []
+    while len(out) < count:
+        a, b, c = basis = tuple(
+            tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(3)
+        )
+        det = (
+            a[0] * (b[1] * c[2] - b[2] * c[1])
+            - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0])
+        )
+        if 0 < abs(det) <= 4:
+            out.append((basis, det))
+    return out
+
+
+def test_3torus_matches_the_flag_level_construction():
+    sweep = _sweep_bases()
+    hnfs = [_hnf_lower(basis) for basis, _ in sweep]
+    # The sweep reaches negative determinants and skewed, negative HNFs.
+    assert any(det < 0 for _, det in sweep)
+    assert any(h[1][0] or h[2][0] or h[2][1] for h in hnfs)
+    assert any(x < 0 for h in hnfs for row in h for x in row)
+    for basis in [*RECT_3TORUS_DIGESTS, *(basis for basis, _ in sweep)]:
+        new = rectified_cubic_3torus(basis).graph.matchings
+        assert new == oracles.rectified_cubic_3torus(basis).graph.matchings, basis
 
 
 def _benchmark_workloads():
