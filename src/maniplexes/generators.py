@@ -21,7 +21,7 @@ from .errors import (
     InconsistentVerdicts,
     ManiplexError,
 )
-from .graphs import build_graph, components, orbit
+from .graphs import build_graph, component_rows, orbit
 from .maniplex import Maniplex
 
 # Fundamental translations used by the rectified cubic 3-torus by default.
@@ -123,43 +123,16 @@ def klein_44() -> Maniplex:
     """The 8-flag square tiling of the Klein bottle.
 
     Quotient of the square tiling by a unit horizontal translation and a
-    vertical glide reflection; every flag has a unique representative at the
-    origin.  It shares its induced poset with ``torus_44(1, 0)`` but is not
-    flag-isomorphic to it.
+    vertical glide reflection.  Flags are numbered ``du * 2 + s`` by edge
+    direction and side, as in ``torus_44(1, 0)``, whose colours 1 and 2 it
+    keeps.  Colour 0 flips the side along a horizontal edge, as on the torus,
+    but keeps it along a vertical one (odd ``du``): that step is the glide,
+    whose mirror undoes the flip.  It shares its induced poset with
+    ``torus_44(1, 0)`` but is not flag-isomorphic to it.
     """
-
-    def qturn(v: tuple[int, int]) -> tuple[int, int]:
-        return (-v[1], v[0])
-
-    def neg(v: tuple[int, int]) -> tuple[int, int]:
-        return (-v[0], -v[1])
-
-    def flipx(v: tuple[int, int]) -> tuple[int, int]:
-        return (-v[0], v[1])
-
-    def pack(u: tuple[int, int], w: tuple[int, int]) -> int:
-        du = _DIRS.index(u)
-        s = 0 if w == qturn(u) else 1
-        if w != (qturn(u) if s == 0 else neg(qturn(u))):
-            raise InconsistentVerdicts(f"{w} is no quarter turn of {u} either way")
-        return du * 2 + s
-
-    def canon(z: tuple[int, int], u, w) -> int:
-        # a glide brings odd rows to the origin and mirrors the x-axis
-        if z[1] % 2:
-            return pack(flipx(u), flipx(w))
-        return pack(u, w)
-
-    rows = [[0] * 8 for _ in range(3)]
-    for du in range(4):
-        u = _DIRS[du]
-        for s in range(2):
-            w = qturn(u) if s == 0 else neg(qturn(u))
-            k = du * 2 + s
-            rows[0][k] = canon(u, neg(u), w)
-            rows[1][k] = canon((0, 0), w, u)
-            rows[2][k] = canon((0, 0), u, neg(w))
-    return Maniplex(build_graph(3, rows))
+    flags = [(du, s) for du in range(4) for s in range(2)]
+    row0 = [((du + 2) % 4) * 2 + (s if du % 2 else 1 - s) for du, s in flags]
+    return Maniplex(build_graph(3, [row0, *torus_44(1, 0).graph.matchings[1:]]))
 
 
 def _hnf_lower(mat: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -386,14 +359,6 @@ def _lift(
     return row
 
 
-def _restrict_to_component(rows: list[list[int]], flag: int) -> list[list[int]]:
-    graph = build_graph(len(rows), rows)
-    part = components(graph, graph.colours())
-    block = part.block_of(flag)
-    local = {v: k for k, v in enumerate(block)}
-    return [[local[row[v]] for v in block] for row in rows]
-
-
 def _try_random(
     rng: random.Random, rank: int, budget: int
 ) -> Optional[Maniplex]:
@@ -420,7 +385,7 @@ def _try_random(
         if r2 is None:
             return None
         rows = [r0, r1, r2, r3]
-    rows = _restrict_to_component(rows, 0)
+    rows = component_rows(rows, 0)
     try:
         return Maniplex(build_graph(rank, rows))
     except ManiplexError:

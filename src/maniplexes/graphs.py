@@ -8,12 +8,15 @@ fixed-point-free involutions and no two colours agree at any flag.
 This module knows nothing about maniplexes; it provides the graph container,
 the breadth-first numbering, :func:`orbit`, behind the generators' graphs
 built by rule from a base state (the mix numbers its flag pairs in the same
-order with a loop of its own), component partitions grown by the one union-find
-:func:`join` along a map's :func:`edge_gather` or, along a map that pairs
-whole blocks, by :func:`pair_join`, partition meets, the one split test,
-:func:`first_split`, behind the intersection criteria and strong flag
-connectivity, and the one anchor search, :func:`extensions`, behind
-colour-preserving isomorphisms and coverings.
+order with a loop of its own) and :func:`component_rows`, component
+partitions grown by the one union-find :func:`join` along a map's
+:func:`edge_gather` or, along a map that pairs whole blocks, by
+:func:`pair_join`, the one split test, :func:`first_split`, behind the
+intersection criteria, strong flag connectivity and the disconnection
+witness, and the one anchor search, :func:`extensions`, behind
+colour-preserving isomorphisms and coverings.  No code in the package calls
+:func:`components` or :func:`partition_meet`: the tests use them as
+references and the benchmark's trace as spans.
 """
 
 from __future__ import annotations
@@ -159,6 +162,14 @@ def orbit(
                 order.append(nxt)
             row.append(i)
     return order, rows
+
+
+def component_rows(rows: Sequence[Sequence[int]], flag: int) -> list[list[int]]:
+    """``rows`` restricted to the component of ``flag``, found by
+    :func:`orbit`, with its flags renumbered in ascending order."""
+    block = sorted(orbit(flag, lambda c, v: rows[c][v], len(rows))[0])
+    local = {v: k for k, v in enumerate(block)}
+    return [[local[row[v]] for v in block] for row in rows]
 
 
 class Partition:

@@ -29,8 +29,10 @@ from .graphs import (
     Edges,
     Partition,
     build_graph,
+    component_rows,
     discrete,
     edge_gather,
+    first_split,
     gather,
     index_in_range,
     join,
@@ -122,9 +124,9 @@ class Maniplex:
         lowest = map(min, *rows) if g.rank > 1 else rows[0]
         if not all(map(lt, islice(lowest, 1, None), g.flags()[1:])):
             full = self._components((1 << g.rank) - 1)
-            if full.block_count() > 1:
-                other = next(v for v in g.flags() if not full.same_block(0, v))
-                raise Disconnected(0, other)
+            split = first_split(full)
+            if split is not None:
+                raise Disconnected(*split)
         # gathers[j](mi)[v] is mi[mj[v]]: colours i and j commute exactly
         # when the two compositions agree.  Only a failing pair is scanned,
         # for its first flag.
@@ -281,12 +283,8 @@ class Maniplex:
                 f"face rank {face.rank} keeps a colour gap; only ranks 0 and "
                 f"{n - 1} re-index to maniplexes"
             )
-        flags = sorted(face.flags)
-        local = {v: k for k, v in enumerate(flags)}
-        rows = [
-            [local[self.graph.matchings[c][v]] for v in flags] for c in colours
-        ]
-        return Maniplex(build_graph(n - 1, rows))
+        rows = [self.graph.matchings[c] for c in colours]
+        return Maniplex(build_graph(n - 1, component_rows(rows, face.rep)))
 
 
 def validate(graph: ColouredGraph) -> Maniplex:

@@ -277,9 +277,11 @@ def is_polytopal(m: Maniplex) -> PolytopalityReport:
 
     A disagreement between the subset, interval, symmetric, and poset
     criteria raises :class:`InconsistentVerdicts` (they are equivalent, so
-    this signals an implementation bug).  When polytopal, the report
-    includes the certified isomorphism ``beta`` onto the flag graph of the
-    maniplex's own poset.
+    this signals an implementation bug).  The poset criterion needs the
+    poset to be a polytope and the maniplex to be faithful: the poset of two
+    squares modulo their joint half-turn is a polytope, but not faithfully
+    so.  When polytopal, the report includes the certified isomorphism
+    ``beta`` onto the flag graph of the maniplex's own poset.
     """
     cip = check_cip(m)
     wpip = check_wpip(m)
@@ -290,7 +292,7 @@ def is_polytopal(m: Maniplex) -> PolytopalityReport:
         "subset": cip.holds,
         "interval": wpip.holds,
         "symmetric": spip.holds,
-        "poset": rep.is_polytope,
+        "poset": rep.is_polytope and rep.faithful.holds,
     }
     if len(set(verdicts.values())) != 1:
         raise InconsistentVerdicts(f"criteria disagree: {verdicts}")

@@ -6,6 +6,9 @@ reasons about; ``all_fixtures`` adds ``oddball8``, a hand-frozen 8-flag
 product (the witness that the product factorization is not always a
 bijection).  ``corpus`` is 1000 seeded random maniplexes with their four
 polytopality verdicts precomputed, shared by the equivalence suites.
+``squares_mod_half_turn`` builds an input whose poset is a polytope although
+the maniplex is not polytopal; it is in neither fixture set, so their pinned
+counts stay as they are.
 """
 
 from __future__ import annotations
@@ -128,6 +131,26 @@ def torus11_times_bits(k: int) -> Maniplex:
     ]
     rows += [[v ^ (1 << bit) for v in flags] for bit in range(k)]
     return Maniplex(build_graph(3 + k, rows))
+
+
+def squares_mod_half_turn() -> Maniplex:
+    """Rank 4, 32 flags: pairs ``(a, b)`` of flags of ``polygon(4)`` with
+    ``(a, b)`` and ``(h[a], h[b])`` identified, ``h`` the square's half-turn
+    ``r1 r0 r1 r0``.  Colours 0 and 1 act on ``a``, 2 and 3 on ``b``; flags
+    are numbered by sorted class representative, the smaller pair of each
+    class.  Its poset is the polytope {2, 2, 2}, with 16 maximal chains, but
+    it is not faithful, so it is not polytopal: the words in colours 0 and 1
+    and those in colours 2 and 3 share the half-turn, so the intersection
+    condition fails."""
+    r0, r1 = polygon(4).graph.matchings
+    h = [r1[r0[r1[r0[v]]]] for v in range(8)]
+    classes = sorted({min((a, b), (h[a], h[b])) for a in range(8) for b in range(8)})
+    index = {}
+    for k, (a, b) in enumerate(classes):
+        index[a, b] = index[h[a], h[b]] = k
+    rows = [[index[r[a], b] for a, b in classes] for r in (r0, r1)]
+    rows += [[index[a, r[b]] for a, b in classes] for r in (r0, r1)]
+    return Maniplex(build_graph(4, rows))
 
 
 def build_geometric_fixtures() -> dict[str, Maniplex]:

@@ -43,7 +43,7 @@ from maniplexes import (
     write_json,
     write_mpx,
 )
-from conftest import ALT_3TORUS_BASIS
+from conftest import ALT_3TORUS_BASIS, squares_mod_half_turn
 from oracles import meet_all
 
 # -------------------------------------------------------------------------------
@@ -182,15 +182,22 @@ def test_criterion_4_flag_graph_round_trip_with_verified_bijection():
 
 
 def test_criterion_5_four_criteria_agree_everywhere(all_fixtures, corpus):
-    for name, m in all_fixtures.items():
+    # the poset leg is "P_M is a polytope and M is faithful to it": the two
+    # squares modulo their joint half-turn have a polytope for a poset but
+    # are not faithful, and every other leg says not polytopal
+    inputs = dict(all_fixtures, squares_mod_half_turn=squares_mod_half_turn())
+    for name, m in inputs.items():
         a = bool(check_cip(m))
         b = check_wpip(m).holds
         c = bool(check_spip(m))
-        d = induced_poset(m).report().is_polytope
+        r = induced_poset(m).report()
+        d = r.is_polytope and r.faithful.holds
         assert a == b == c == d, name
     assert len(corpus) == 1000
     for s in corpus:
-        assert s.cip == s.wpip == s.spip == s.poset_report.is_polytope, s.seed
+        r = s.poset_report
+        d = r.is_polytope and r.faithful.holds
+        assert s.cip == s.wpip == s.spip == d, s.seed
 
 
 def test_criterion_6_structural_invariants(

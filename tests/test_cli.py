@@ -127,6 +127,24 @@ def test_check_json_of_gather_edge_cases_matches_golden(tmp_path, name, code, fl
     assert r.stdout == (GOLDEN / f"{name}.json").read_text()
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimised"])
+def test_check_json_of_a_polytope_poset_without_faithfulness_matches_golden(
+    tmp_path, flags
+):
+    # its poset is a polytope but it is not faithful: every leg says not
+    # polytopal, where the poset leg once disagreed and the check exited 2
+    from conftest import squares_mod_half_turn
+    from maniplexes import write_mpx
+
+    f = tmp_path / "squares_mod_half_turn.mpx"
+    f.write_text(write_mpx(squares_mod_half_turn().graph))
+    r = run("check", "--json", f, flags=flags)
+    assert r.returncode == 1, r.stderr
+    assert r.stdout == (GOLDEN / "squares_mod_half_turn.json").read_text()
+    poset = json.loads(r.stdout)["poset"]
+    assert poset["is_polytope"] is True and poset["faithful"]["holds"] is False
+
+
 def test_missing_file_exits_66():
     r = run("check", "/no/such/file.mpx")
     assert r.returncode == 66

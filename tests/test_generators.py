@@ -136,6 +136,16 @@ def test_klein_has_8_flags_but_differs_from_the_torus_quotient():
     assert are_isomorphic(k.graph, torus_44(1, 0).graph) is None
 
 
+def test_klein_rows_are_pinned():
+    # torus_44(1, 0)'s rows but colour 0's, which keeps the side at a
+    # vertical edge: the vertical translation is a glide
+    assert klein_44().graph.matchings == (
+        (5, 4, 6, 7, 1, 0, 2, 3),
+        (3, 6, 5, 0, 7, 2, 1, 4),
+        (1, 0, 3, 2, 5, 4, 7, 6),
+    )
+
+
 # -- rectified cubic 3-torus ------------------------------------------------------
 
 
@@ -293,6 +303,22 @@ def test_random_rank_two_is_a_polygon():
     m = random_maniplex(2, 7)
     assert m.size % 2 == 0
     assert are_isomorphic(m.graph, polygon(m.size // 2).graph) is not None
+
+
+# sha256 of the .mpx bytes of random_maniplex(rank, seed, budget) for ranks
+# 1..4, seeds 0..99 and budgets 16, 64 and 200, written back to back; recorded
+# before flag 0's component was kept through graphs.component_rows.
+RANDOM_DIGEST = "95dbf0792e199bb1d036e52d4e5db2d5d6f3f815725a547fb3950ccbef588cd2"
+
+
+def test_random_mpx_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for rank in range(1, 5):
+        for seed in range(100):
+            for budget in (16, 64, 200):
+                m = random_maniplex(rank, seed, budget)
+                digest.update(write_mpx(m.graph).encode())
+    assert digest.hexdigest() == RANDOM_DIGEST
 
 
 @pytest.mark.parametrize("rank", [3, 4])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from maniplexes import (
     torus_44,
     validate,
     walk,
+    write_mpx,
 )
 from maniplexes.errors import (
     BadTwoFactor,
@@ -35,6 +37,7 @@ from maniplexes import maniplex as maniplex_module
 from maniplexes.graphs import join
 from conftest import (
     ODDBALL8_ROWS,
+    POLYTOPAL_NAMES,
     dual,
     lines_run,
     oddball8,
@@ -461,6 +464,23 @@ def test_facet_of_cube_is_a_square():
     m = hypercube(3)
     fm = m.face_as_maniplex(m.faces(2)[0])
     assert are_isomorphic(fm.graph, polygon(4).graph) is not None
+
+
+# sha256 of the .mpx bytes of every rank-0 and top face of every polytopal
+# fixture of rank 2 or more as a maniplex, by name, rank and face order;
+# recorded before faces were renumbered through graphs.component_rows.
+FACES_DIGEST = "7d4f2cd5528a8167717316604fbe77d8f70ec9d7352ba39ced5383a99a8fa08e"
+
+
+def test_bottom_and_top_faces_as_maniplexes_are_pinned(all_fixtures):
+    digest = hashlib.sha256()
+    for name in sorted(POLYTOPAL_NAMES):
+        m = all_fixtures[name]
+        if m.rank < 2:
+            continue
+        for face in m.faces(0) + m.faces(m.rank - 1):
+            digest.update(write_mpx(m.face_as_maniplex(face).graph).encode())
+    assert digest.hexdigest() == FACES_DIGEST
 
 
 def test_middle_face_as_maniplex_is_rejected():

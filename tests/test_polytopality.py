@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from maniplexes import (
     CheckResult,
+    CipWitness,
     Partition,
     SpipWitness,
     are_isomorphic,
@@ -47,6 +48,7 @@ from conftest import (
     dual,
     lines_run,
     relabelled,
+    squares_mod_half_turn,
     torus11_times_bits,
 )
 import oracles
@@ -446,6 +448,43 @@ def test_invariant_as_stated_faithful_implies_sfc_iff_cip(all_fixtures, all_repo
         and all_reports[name].strong_flag_connected.holds != bool(check_cip(m))
     ]
     assert violators == ["torus44(1,1)"]
+
+
+def test_invariant_as_stated_polytope_poset_implies_polytopal(
+    all_fixtures, corpus
+):
+    # the claim "if the induced poset P_M is a polytope, M is polytopal" is
+    # false: M must also be faithful, so that it is P_M's flag graph.  The
+    # two squares modulo their joint half-turn refute it, and no fixture or
+    # corpus sample does.  This breaks if another input becomes a
+    # counterexample or if that one stops being one.
+    inputs = dict(all_fixtures, squares_mod_half_turn=squares_mod_half_turn())
+    violators = [
+        name
+        for name, m in inputs.items()
+        if induced_poset(m).report().is_polytope and not is_polytopal(m).polytopal
+    ]
+    assert violators == ["squares_mod_half_turn"]
+    assert not [s.seed for s in corpus if s.poset_report.is_polytope and not s.cip]
+
+
+def test_polytope_poset_without_faithfulness_counterexample():
+    m = squares_mod_half_turn()
+    assert m.rank == 4 and m.size == 32
+    rep = is_polytopal(m)
+    assert not rep.polytopal and rep.flag_graph_isomorphism is None
+    assert rep.cip.witness == CipWitness((0, 2), 0, 3)
+    assert rep.wpip.failures == ((0, 2), (0, 3), (1, 2), (1, 3))
+    assert rep.spip.witness == SpipWitness((0, 1), (2, 3), 0, 4)
+    assert rep.poset.is_polytope and rep.poset.chain_count == 16
+    assert not rep.poset.faithful.holds and rep.poset.faithful.witness[1] == (0, 4)
+    # the test oracles agree, each leg on its own
+    p = induced_poset(m)
+    assert not oracles.check_cip(m) and not check_cip_via_chains(m, p)
+    assert not oracles.check_wpip(m) and not oracles.check_spip(m)
+    assert oracles.uniform_chain_length(p).holds and oracles.diamond(p).holds
+    assert oracles.strong_flag_connectivity(p).holds
+    assert not oracles.is_faithful(m).holds
 
 
 def test_faithful_sfc_without_cip_counterexample():
