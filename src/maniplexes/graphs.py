@@ -225,9 +225,6 @@ class Partition:
     def block_of(self, flag: int) -> tuple[int, ...]:
         return self.blocks()[self.ids[flag]]
 
-    def same_block(self, a: int, b: int) -> bool:
-        return self.ids[a] == self.ids[b]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Partition) and self.ids == other.ids
 

@@ -65,7 +65,7 @@ class FaceFactors:
     colours under the face rank, ``above`` the one using only colours over it.
     The coordinate map ``below x above -> face`` is always a covering of
     constant degree ``covering_degree``; the face is their cartesian product
-    exactly when ``is_product`` (degree 1, coordinates unique).
+    exactly when ``is_product``, which is when that degree is 1.
     """
 
     face: Face
@@ -237,31 +237,27 @@ class Maniplex:
         Only defined for ``1 <= face.rank <= rank - 2``; the extreme ranks
         have an empty colour side and raise :class:`RankOutOfRange`.  A face
         of another maniplex raises :class:`OutOfRange`.
+
+        Colours below and above the face rank ``i`` differ by at least 2 and
+        commute pointwise, so ``(u(rep), w(rep)) -> u(w(rep))``, for words
+        ``u`` in the low colours and ``w`` in the high ones, is well defined
+        on ``below x above``.  It is onto the face, as a word in the other
+        colours reorders into low ones then high ones.  So ``is_product``,
+        each low block of the face meeting ``above`` once and each high block
+        meeting ``below`` once, holds exactly at degree 1, a bijection.
         """
         self._own_face(face)
         i = face.rank
         if not 1 <= i <= self.rank - 2:
             raise RankOutOfRange(
-                f"face rank {i} has no two-sided factorisation in rank "
-                f"{self.rank}"
+                f"face rank {i} has no two-sided factorisation in rank {self.rank}"
             )
-        low = self.components_of(range(i))
-        high = self.components_of(range(i + 1, self.rank))
-        below = low.block_of(face.rep)
-        above = high.block_of(face.rep)
-        size = len(face.flags)
-        degree, rem = divmod(len(below) * len(above), size)
+        below = self.components_of(range(i)).block_of(face.rep)
+        above = self.components_of(range(i + 1, self.rank)).block_of(face.rep)
+        degree, rem = divmod(len(below) * len(above), len(face.flags))
         if rem:
             raise InconsistentVerdicts("the low/high map must have constant degree")
-        # Coordinates are unique iff each high-component meets `below`
-        # once and each low-component meets `above` once, within the face.
-        below_set, above_set = set(below), set(above)
-        unique = degree == 1 and all(
-            len(above_set & set(low.block_of(v))) == 1
-            and len(below_set & set(high.block_of(v))) == 1
-            for v in face.flags
-        )
-        return FaceFactors(face, below, above, degree, unique)
+        return FaceFactors(face, below, above, degree, degree == 1)
 
     def face_as_maniplex(self, face: Face) -> "Maniplex":
         """A bottom or top face re-indexed as a maniplex of rank ``n - 1``.

@@ -13,6 +13,7 @@ colour-set pairs ``(A, B)``, and cross-compared:
 
 Each is a family of ``(tag, a, b)`` colour-mask pairs, and one lazy scan,
 ``_failures``, yields the tag and witness flags of each failing pair.
+``flag_graph`` is imported from :mod:`.posets`, beside the chains it reads.
 """
 
 from __future__ import annotations
@@ -22,14 +23,14 @@ from functools import lru_cache
 from itertools import combinations, islice
 from typing import Iterable, Iterator, Optional
 
-from .errors import InconsistentVerdicts, ManiplexError, NotAPolytope
-from .graphs import build_graph, first_split
+from .errors import InconsistentVerdicts
+from .graphs import first_split
 from .maniplex import Maniplex
 from .posets import (
     CheckResult,
-    InducedPoset,
     MaximalChain,
     PosetReport,
+    flag_graph,
     induced_poset,
     is_polytope,
 )
@@ -213,46 +214,6 @@ def beta(m: Maniplex) -> tuple[MaximalChain, ...]:
     """The flag-to-chain map: position ``v`` holds the chain through ``v``,
     read from one pass over the face ids of every rank."""
     return tuple(map(MaximalChain.through, m.flag_face_ids()))
-
-
-def flag_graph(p: InducedPoset) -> Maniplex:
-    """The maniplex on the maximal chains of a polytope.
-
-    Chains are taken in lexicographic order; colour ``r`` matches the unique
-    two chains that differ exactly at rank ``r``.  Raises
-    :class:`NotAPolytope` when the poset is not a polytope.
-    """
-    rep = is_polytope(p)
-    if not rep.is_polytope:
-        failed = [
-            name
-            for name, res in (
-                ("uniform chain length", rep.uniform_chain_length),
-                ("diamond", rep.diamond),
-                ("strong flag connectivity", rep.strong_flag_connected),
-            )
-            if not res.holds
-        ]
-        raise NotAPolytope("the poset fails: " + ", ".join(failed))
-    chains = p._chain_tuples()
-    rows: list[list[int]] = []
-    for r in range(p.n):
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for t, ch in enumerate(chains):
-            groups.setdefault(ch[:r] + ch[r + 1 :], []).append(t)
-        row = [-1] * len(chains)
-        for ts in groups.values():
-            if len(ts) != 2:
-                raise NotAPolytope(
-                    f"{len(ts)} chains share all faces except rank {r}"
-                )
-            a, b = ts
-            row[a], row[b] = b, a
-        rows.append(row)
-    try:
-        return Maniplex(build_graph(p.n, rows))
-    except ManiplexError as err:
-        raise NotAPolytope(f"the chain graph is not a maniplex: {err}") from err
 
 
 def _certify_beta(m: Maniplex, rep: PosetReport) -> tuple[int, ...]:

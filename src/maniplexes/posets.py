@@ -5,9 +5,10 @@ The elements of rank ``i`` are the rank-``i`` faces (components with colour
 plus a bottom and a top face.  Elements are addressed as ``(rank, index)``
 pairs; rank ``-1`` and rank ``n`` with index 0 denote the bottom and top.
 
-This module also hosts the shared :class:`CheckResult` verdict type and the
-poset-side polytope checks: uniform chain length, the diamond condition,
-strong flag connectivity, and faithfulness of the flag-to-chain map.
+This module also hosts the shared :class:`CheckResult` verdict type, the
+poset-side polytope checks (uniform chain length, the diamond condition,
+strong flag connectivity, faithfulness of the flag-to-chain map) and the
+flag graph of a polytope, read from the chains' one-face steps.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import InconsistentVerdicts, NoFlagSets, NotAChain, NotComparable
-from .errors import OutOfRange
-from .graphs import discrete, edge_gather, first_split, index_in_range, join
+from .errors import InconsistentVerdicts, ManiplexError, NoFlagSets, NotAChain
+from .errors import NotAPolytope, NotComparable, OutOfRange
+from .graphs import build_graph, discrete, edge_gather, first_split
+from .graphs import index_in_range, join
 from .maniplex import Face, Maniplex
 
 Ref = tuple[int, int]
@@ -156,6 +158,14 @@ class InducedPoset:
             self._chains = tuple(chains)
         return self._chains
 
+    def _chain_steps(self) -> Iterator[list[int]]:
+        """Per rank ``r`` in turn, the one-face steps: each chain's index goes
+        to that of the first chain equal to it except at rank ``r``."""
+        for r in range(self.n):
+            first: dict[tuple[int, ...], int] = {}
+            keys = (ch[:r] + ch[r + 1 :] for ch in self._chain_tuples())
+            yield [first.setdefault(k, t) for t, k in enumerate(keys)]
+
     def maximal_chains(self) -> tuple[MaximalChain, ...]:
         return tuple(map(MaximalChain.through, self._chain_tuples()))
 
@@ -211,17 +221,23 @@ def chain_intersection(
     The first argument may be an :class:`InducedPoset` or a
     :class:`~maniplexes.maniplex.Maniplex` (whose induced poset is built on
     the fly).  Faces may be ``(rank, index)`` pairs or
-    :class:`~maniplexes.maniplex.Face` objects.  Improper refs are allowed
-    and contribute the full flag universe.  Two distinct proper faces of
-    equal rank, or an incomparable pair, raise :class:`NotAChain`.  The
-    result is never empty for a valid chain.
+    :class:`~maniplexes.maniplex.Face` objects of the maniplex the poset
+    was induced from; any other ``Face`` raises :class:`OutOfRange`.
+    Improper refs are allowed and contribute the full flag universe.  Two
+    distinct proper faces of equal rank, or an incomparable pair, raise
+    :class:`NotAChain`.  The result is never empty for a valid chain.
     """
     if isinstance(p, Maniplex):
         p = induced_poset(p)
-    refs = sorted(
-        {p._check_ref((f.rank, f.index) if isinstance(f, Face) else f) for f in faces}
-    )
-    proper = [ref for ref in refs if 0 <= ref[0] < p.n]
+    refs: set[Ref] = set()
+    for f in faces:
+        if isinstance(f, Face):
+            if not isinstance(p.source, Maniplex):
+                raise OutOfRange(f"{f!r} is not a face of this poset's maniplex")
+            p.source._own_face(f)
+            f = (f.rank, f.index)
+        refs.add(p._check_ref(f))
+    proper = [ref for ref in sorted(refs) if 0 <= ref[0] < p.n]
     for i, a in enumerate(proper):
         for b in proper[i + 1 :]:
             if a[0] == b[0]:
@@ -346,14 +362,9 @@ def strong_flag_connectivity(p: InducedPoset) -> CheckResult:
     """
     chains = p._chain_tuples()
     cols = tuple(zip(*chains))
-    # rep[b] gathers the map from chain t to the first chain equal to it
-    # except at rank b; that chain never comes after t, so the gather reads
-    # only the chains the map moves.
-    rep = []
-    for b in range(p.n):
-        first: dict[tuple[int, ...], int] = {}
-        keys = (ch[:b] + ch[b + 1 :] for ch in chains)
-        rep.append(edge_gather([first.setdefault(k, t) for t, k in enumerate(keys)]))
+    # rep[b] gathers the chain steps at rank b; a chain's step never comes
+    # after it, so the gather reads only the chains the step moves.
+    rep = list(map(edge_gather, p._chain_steps()))
     pairs: list[tuple[int, int]] = []
     for a in range(p.n - 1):
         comps = join(discrete(len(chains)), rep[a])
@@ -475,3 +486,29 @@ def _build_report(p: InducedPoset) -> PosetReport:
 def is_polytope(p: InducedPoset) -> PosetReport:
     """Ranked + uniform chains + diamond + strong flag connectivity."""
     return p.report()
+
+
+def flag_graph(p: InducedPoset) -> Maniplex:
+    """The maniplex on the maximal chains of a polytope, in lex order.
+
+    Colour ``r`` pairs the two chains that differ exactly at rank ``r``: the
+    diamond condition makes each class of chains equal except there a pair,
+    whose later chain steps to its first, and the first goes to the last
+    chain that steps to it.  Raises :class:`NotAPolytope` on any other poset.
+    """
+    rep = p.report()
+    if not rep.is_polytope:
+        names = ("uniform chain length", "diamond", "strong flag connectivity")
+        checks = (rep.uniform_chain_length, rep.diamond, rep.strong_flag_connected)
+        failed = [name for name, res in zip(names, checks) if not res.holds]
+        raise NotAPolytope("the poset fails: " + ", ".join(failed))
+    rows = []
+    for first in p._chain_steps():
+        row = list(first)
+        for t, s in enumerate(first):
+            row[s] = t
+        rows.append(row)
+    try:
+        return Maniplex(build_graph(p.n, rows))
+    except ManiplexError as err:
+        raise NotAPolytope(f"the chain graph is not a maniplex: {err}") from err

@@ -44,6 +44,10 @@ then a second pass over every pair to fill the rows.  ``ChainValidated`` is
 a maniplex checked by the library's former validation, kept verbatim: it
 always builds the components over all colours to decide connectivity, where
 the library first reads a certificate from the flag numbering.
+``is_product`` is the library's former product test of a middle face, kept
+verbatim: covering degree 1 and, flag by flag, each low component meeting
+the face's high block once and each high component meeting its low block
+once, by set intersection.
 
 Two helpers left the package because only the suite used them: ``meet_all``
 folds ``partition_meet`` over a non-empty iterable of partitions, and
@@ -69,6 +73,7 @@ from maniplexes import (
     CipWitness,
     ColouredGraph,
     CoveringMap,
+    Face,
     InducedPoset,
     Maniplex,
     MaximalChain,
@@ -154,7 +159,7 @@ class ChainValidated(Maniplex):
         g = self.graph
         full = self._components((1 << g.rank) - 1)
         if full.block_count() > 1:
-            other = next(v for v in g.flags() if not full.same_block(0, v))
+            other = next(v for v in g.flags() if full.ids[v] != full.ids[0])
             raise Disconnected(0, other)
         # gathers[j](mi)[v] is mi[mj[v]]: colours i and j commute exactly
         # when the two compositions agree.  Only a failing pair is scanned,
@@ -260,6 +265,24 @@ def is_faithful(m: Maniplex) -> CheckResult:
         return CheckResult(True)
     block = next(b for b in met.blocks() if len(b) > 1)
     return CheckResult(False, (chain_of_flag(m, block[0]), (block[0], block[1])))
+
+
+def is_product(m: Maniplex, face: Face) -> bool:
+    """Whether a middle face is the product of its low and high blocks."""
+    i = face.rank
+    low = m.components_of(range(i))
+    high = m.components_of(range(i + 1, m.rank))
+    below = low.block_of(face.rep)
+    above = high.block_of(face.rep)
+    degree = len(below) * len(above) // len(face.flags)
+    # Coordinates are unique iff each high-component meets `below`
+    # once and each low-component meets `above` once, within the face.
+    below_set, above_set = set(below), set(above)
+    return degree == 1 and all(
+        len(above_set & set(low.block_of(v))) == 1
+        and len(below_set & set(high.block_of(v))) == 1
+        for v in face.flags
+    )
 
 
 # -- the order by flag-set intersection ----------------------------------------

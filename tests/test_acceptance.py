@@ -143,9 +143,10 @@ def test_criterion_3_rectified_3torus_narrative():
     for blk, pieces in failing:
         assert len(blk) == 16 and [len(x) for x in pieces] == [8, 8]
         a, b = pieces[0][0], pieces[1][0]
-        assert m.components_of([1, 2, 3]).same_block(a, b)
-        assert m.components_of([0, 1, 2]).same_block(a, b)
-        assert not fine.same_block(a, b)  # no path through colours {1, 2}
+        above, below = m.components_of([1, 2, 3]), m.components_of([0, 1, 2])
+        assert above.ids[a] == above.ids[b]
+        assert below.ids[a] == below.ids[b]
+        assert fine.ids[a] != fine.ids[b]  # no path through colours {1, 2}
         for cyc in pieces:
             v, col = cyc[0], 1
             seen = [v]

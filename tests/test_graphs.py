@@ -371,7 +371,7 @@ def test_meet_refines_both(p, q):
     for part in (p, q):
         for block in met.blocks():
             first = block[0]
-            assert all(part.same_block(first, v) for v in block)
+            assert all(part.ids[first] == part.ids[v] for v in block)
 
 
 def _subsets(rank):
@@ -389,7 +389,7 @@ def test_monotone_colour_sets_give_nested_partitions():
                 coarse = components(g, b)
                 fine = components(g, a)
                 for block in fine.blocks():
-                    assert all(coarse.same_block(block[0], v) for v in block)
+                    assert all(coarse.ids[block[0]] == coarse.ids[v] for v in block)
 
 
 def test_intersection_refines_meet_for_all_colour_pairs():
@@ -400,7 +400,7 @@ def test_intersection_refines_meet_for_all_colour_pairs():
             met = partition_meet(components(g, a), components(g, b))
             inter = components(g, sorted(set(a) & set(b)))
             for block in inter.blocks():
-                assert all(met.same_block(block[0], v) for v in block)
+                assert all(met.ids[block[0]] == met.ids[v] for v in block)
 
 
 def test_meet_all_matches_pairwise_meet():
@@ -425,7 +425,8 @@ def test_public_surface_holds_no_test_only_helper():
     for name in ("meet_all", "is_connected", "poset_isomorphic"):
         assert not hasattr(maniplexes, name), name
     assert not hasattr(maniplexes.errors, "DisconnectedInput")
-    assert not hasattr(Partition, "is_discrete")
+    for name in ("is_discrete", "same_block"):
+        assert not hasattr(Partition, name), name
 
 
 # -- isomorphism ----------------------------------------------------------------

@@ -122,7 +122,7 @@ def test_complement_partition_always_refines_the_meet(all_fixtures):
             )
             fine = m.components_of(c for c in range(n) if c not in sub)
             for block in fine.blocks():
-                assert all(met.same_block(block[0], v) for v in block), (name, sub)
+                assert all(met.ids[block[0]] == met.ids[v] for v in block), (name, sub)
 
 
 # -- WPIP -------------------------------------------------------------------------
@@ -140,11 +140,11 @@ def test_wpip_witness_flags_lack_a_colour1_path():
     m = torus_44(1, 1)
     w = check_wpip(m).witness
     between = m.components_of([1])
-    assert not between.same_block(w.flag_a, w.flag_b)
+    assert between.ids[w.flag_a] != between.ids[w.flag_b]
     above = m.components_of([1, 2])
     below = m.components_of([0, 1])
-    assert above.same_block(w.flag_a, w.flag_b)
-    assert below.same_block(w.flag_a, w.flag_b)
+    assert above.ids[w.flag_a] == above.ids[w.flag_b]
+    assert below.ids[w.flag_a] == below.ids[w.flag_b]
 
 
 def test_wpip_torus10_fails_every_pair():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import signal
 from contextlib import contextmanager
 
@@ -18,6 +19,7 @@ from maniplexes import (
     chain_intersection,
     chain_of_flag,
     diamond,
+    flag_graph,
     hypercube,
     induced_poset,
     is_faithful,
@@ -29,9 +31,10 @@ from maniplexes import (
     strong_flag_connectivity,
     torus_44,
     uniform_chain_length,
+    write_mpx,
 )
 from maniplexes.errors import NoFlagSets, NotAChain, NotComparable, OutOfRange
-from conftest import ALT_3TORUS_BASIS, relabelled, torus11_times_bits
+from conftest import ALT_3TORUS_BASIS, POLYTOPAL_NAMES, relabelled, torus11_times_bits
 from oracles import faithful_by_chain_count, faithful_by_enumeration, poset_isomorphic
 
 
@@ -392,6 +395,25 @@ def test_chain_intersection_accepts_maniplex_and_faces():
     assert got == frozenset({0, 3, 4, 7})
 
 
+def test_chain_intersection_refuses_a_face_of_another_maniplex():
+    # the face's flags are {6, 7, 18, 19}; read by its rank and index in
+    # torus_44(3, 0), it would stand for flags {6, 7, 34, 35}
+    face = torus_44(2, 0).faces(1)[3]
+    with pytest.raises(OutOfRange):
+        chain_intersection(torus_44(3, 0), [face])
+
+
+def test_chain_intersection_refuses_a_face_with_no_maniplex_behind_the_poset():
+    m = hypercube(3)
+    p = induced_poset(m)
+    square = section(p, (-1, 0), (2, 0))
+    hand_built = InducedPoset(p.n, p.counts(), p.up)
+    for q in (square, hand_built):
+        with pytest.raises(OutOfRange):
+            chain_intersection(q, [m.faces(0)[0]])
+    assert chain_intersection(p, [m.faces(0)[0]]) == p.flags_of((0, 0))
+
+
 def test_chain_intersection_improper_faces_are_neutral():
     p = induced_poset(torus_44(1, 1))
     with_improper = chain_intersection(p, [(-1, 0), (0, 0), (2, 0), (3, 0)])
@@ -524,6 +546,42 @@ def test_3torus_disconnected_vertex_cell_sections():
                 assert len(s.universe) == 16
     assert disconnected == [(0, 2), (2, 3), (7, 6), (10, 7)]
     assert all(cid in octahedra for _, cid in disconnected)
+
+
+def _polytopal_inputs(all_fixtures, corpus):
+    """Every polytopal fixture (``hypercube(4)`` among them), the polytopal
+    corpus samples and the bit-flips of ranks 2 to 6."""
+    inputs = [all_fixtures[name] for name in sorted(POLYTOPAL_NAMES)]
+    inputs += [s.maniplex for s in corpus if s.cip]
+    return inputs + [bitflip(n) for n in range(2, 7)]
+
+
+def test_sections_of_polytopes_are_polytopes(all_fixtures, corpus):
+    """Every section of a polytope with a rank gap of two or more, improper
+    ends included, is a polytope (McMullen & Schulte, *Abstract Regular
+    Polytopes*, 2B)."""
+    sections = 0
+    for m in _polytopal_inputs(all_fixtures, corpus):
+        p = induced_poset(m)
+        refs = list(p.refs(include_improper=True))
+        for a in refs:
+            for b in refs:
+                if b[0] - a[0] >= 2 and p.leq(a, b):
+                    assert section(p, a, b).report().is_polytope, (m.size, a, b)
+                    sections += 1
+    assert sections == 9272
+
+
+# sha256 of the .mpx bytes of the flag graph of each input above, in order;
+# recorded before flag_graph read its rows from the chains' one-face steps.
+FLAG_GRAPH_DIGEST = "f8c48db7e5f8d38cc2e471795ca4a786f761953216a3a7b2390e88ab1088cb5d"
+
+
+def test_flag_graphs_of_polytopes_are_pinned(all_fixtures, corpus):
+    digest = hashlib.sha256()
+    for m in _polytopal_inputs(all_fixtures, corpus):
+        digest.update(write_mpx(flag_graph(induced_poset(m)).graph).encode())
+    assert digest.hexdigest() == FLAG_GRAPH_DIGEST
 
 
 # -- faithfulness -------------------------------------------------------------------
