@@ -44,10 +44,10 @@ then a second pass over every pair to fill the rows.  ``ChainValidated`` is
 a maniplex checked by the library's former validation, kept verbatim: it
 always builds the components over all colours to decide connectivity, where
 the library first reads a certificate from the flag numbering.
-``is_product`` is the library's former product test of a middle face, kept
-verbatim: covering degree 1 and, flag by flag, each low component meeting
-the face's high block once and each high component meeting its low block
-once, by set intersection.
+``is_product`` is the library's former product test of a middle face, less
+its constant-degree check: covering degree 1 and, flag by flag, each low
+component meeting the face's high block once and each high component
+meeting its low block once, by set intersection.
 
 Two helpers left the package because only the suite used them: ``meet_all``
 folds ``partition_meet`` over a non-empty iterable of partitions, and
