@@ -3,7 +3,9 @@ square tilings of the torus and the Klein bottle, a rectified cubic honeycomb
 on a 3-torus, and seeded random maniplexes.
 
 All generators are deterministic: flags are indexed in a fixed enumeration
-order, and the random family is driven entirely by its seed.
+order, and the random family is driven entirely by its seed.  None builds
+more than ``2**16`` flags, the size of ``bitflip(16)``: a larger request is
+refused with :class:`BadParam` before anything is built.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ DEFAULT_3TORUS_BASIS = ((0, 2, 0), (1, 0, 0), (1, 0, 2))
 
 _DIRS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
+# The most flags a generator builds.
+_MAX_FLAGS = 1 << 16
+
 
 def _integer(name: str, value: object) -> int:
     """``value`` as an ``int``; :class:`BadParam` unless it is an integer."""
@@ -38,12 +43,19 @@ def _integer(name: str, value: object) -> int:
         raise BadParam(f"{name} must be an integer, got {value!r}") from None
 
 
+def _flag_count(what: str, flags: int) -> int:
+    """``flags``; :class:`BadParam` when it is over :data:`_MAX_FLAGS`."""
+    if flags > _MAX_FLAGS:
+        raise BadParam(f"{what} has {flags} flags, over the cap of {_MAX_FLAGS}")
+    return flags
+
+
 def polygon(p: int) -> Maniplex:
     """The rank-2 maniplex of a ``p``-gon (``p >= 2``), with ``2p`` flags."""
     p = _integer("polygon size", p)
     if p < 2:
         raise BadParam(f"a polygon needs at least 2 sides, got {p}")
-    f = 2 * p
+    f = _flag_count(f"a {p}-gon", 2 * p)
     m0 = [v ^ 1 for v in range(f)]
     m1 = [(v - 1) % f if v % 2 == 0 else (v + 1) % f for v in range(f)]
     return Maniplex(build_graph(2, [m0, m1]))
@@ -93,6 +105,7 @@ def torus_44(b: int, c: int) -> Maniplex:
     if (b, c) == (0, 0):
         raise BadParam("the quotient translation must be nonzero")
     n = b * b + c * c
+    _flag_count(f"torus_44({b}, {c})", 8 * n)
 
     def rnd(a: int) -> int:
         # round half up, stable under negative numerators
@@ -252,6 +265,8 @@ def rectified_cubic_3torus(
     if len(rows_in) != 3 or any(len(r) != 3 for r in rows_in):
         raise BadParam("the basis must be three integer 3-vectors")
     h = _hnf_lower(rows_in)
+    # 144 * |det basis| flags
+    expected = _flag_count("the quotient", 144 * h[0][0] * h[1][1] * h[2][2])
 
     def canon(v: list[int]) -> _V:
         for k in (2, 1, 0):
@@ -273,7 +288,6 @@ def rectified_cubic_3torus(
         return u, to
 
     order, rows = orbit((0, (0, 0, 0)), step, 4)
-    expected = 144 * h[0][0] * h[1][1] * h[2][2]  # 144 * |det basis|
     if len(order) != expected:
         raise InconsistentVerdicts(f"expected {expected} flags, got {len(order)}")
     return Maniplex(build_graph(4, rows))

@@ -24,6 +24,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
@@ -38,6 +39,21 @@ from .errors import (
 
 #: Hard ceiling on the number of colours; keeps colour masks in one machine word.
 MAX_RANK = 64
+
+# How many sizes numbers() keeps.
+_NUMBERS_SIZES = 16
+
+
+@lru_cache(maxsize=_NUMBERS_SIZES)
+def numbers(size: int) -> tuple[int, ...]:
+    """``tuple(range(size))``, one tuple per size, kept for the 16 sizes
+    most recently asked for (a benchmark run uses at most 8).
+
+    CPython shares only the ints up to 256, so every flag number the package
+    keeps, in matchings, singleton partitions, edge gathers and the
+    flag-to-chain map, is read from here: equal numbers are then one object
+    and not one 28-byte int per entry."""
+    return tuple(range(size))
 
 
 def index_in_range(
@@ -100,26 +116,29 @@ def build_graph(rank: int, matchings: Sequence[Sequence[int]]) -> ColouredGraph:
     if size <= 0:
         raise OutOfRange("graph needs at least one flag")
     frozen: list[tuple[int, ...]] = []
-    ident = tuple(range(size))
+    ident = numbers(size)
     for c, row in enumerate(matchings):
         if len(row) != size:
             raise SizeMismatch(
                 f"colour {c} has {len(row)} entries, expected {size}"
             )
+        # Decide a fixed-point-free involution in C and keep the row as its
+        # gather of the shared numbers.  A non-integer entry raises
+        # TypeError, one of at least size IndexError; a negative entry w at
+        # v reads row[w + size], which breaks the involution at v or at
+        # w + size.  Only a failing row is converted and scanned, for the
+        # first witness.
+        try:
+            at = gather(row)
+            if at(row) == ident and all(map(operator.ne, row, ident)):
+                frozen.append(at(ident))
+                continue
+        except (TypeError, IndexError):
+            pass
         try:
             row = tuple(map(operator.index, row))
         except TypeError:
             raise OutOfRange(f"colour {c} has a non-integer entry") from None
-        frozen.append(row)
-        # Decide a fixed-point-free involution in C.  An entry of at least
-        # size raises IndexError; a negative entry w at v reads row[w + size],
-        # which breaks the involution at v or at w + size.  Only a failing
-        # row is scanned, for the first witness.
-        try:
-            if gather(row)(row) == ident and all(map(operator.ne, row, ident)):
-                continue
-        except IndexError:
-            pass
         for v in range(size):
             w = row[v]
             if not 0 <= w < size:
@@ -132,6 +151,7 @@ def build_graph(rank: int, matchings: Sequence[Sequence[int]]) -> ColouredGraph:
                 raise FixedPoint(c, v)
             if row[w] != v:
                 raise NotInvolution(c, v)
+        frozen.append(gather(row)(ident))
     for c, d in combinations(range(rank), 2):
         if any(map(operator.eq, frozen[c], frozen[d])):
             v = next(v for v in range(size) if frozen[c][v] == frozen[d][v])
@@ -236,8 +256,10 @@ class Partition:
 
 
 def discrete(size: int) -> Partition:
-    """The partition of ``range(size)`` into singletons."""
-    return Partition(range(size), _reps=range(size))
+    """The partition of ``range(size)`` into singletons, whose ids and
+    representatives are both :func:`numbers`."""
+    ids = numbers(size)
+    return Partition(ids, _reps=ids)
 
 
 def gather(indices: Sequence[int]) -> Callable[[Sequence[Any]], tuple]:
@@ -261,7 +283,7 @@ def edge_gather(row: Sequence[int]) -> Edges:
     ``row[row[v]] != v``.  A ``v`` below ``row[v]`` is skipped only when
     ``row[v]`` maps back to it, so every pair is read, and each edge of an
     involution, or each move of a map with ``row[v] <= v``, just once."""
-    src = [v for v, w in enumerate(row) if w < v or row[w] != v]
+    src = [v for v, w in zip(numbers(len(row)), row) if w < v or row[w] != v]
     lo, hi = gather(src), gather([row[v] for v in src])
     return lambda ids: zip(lo(ids), hi(ids))
 

@@ -97,7 +97,8 @@ class Maniplex:
     :func:`~maniplexes.graphs.edge_gather` is built on its first
     :func:`~maniplexes.graphs.join`.  Which neighbouring colours commute is
     read on the first partition built after validation, and the split
-    results of the intersection criteria are cached per unordered mask pair.
+    results of the intersection criteria are cached per unordered mask pair,
+    as is the incidence table of the induced poset once it is built.
     """
 
     def __init__(self, graph: ColouredGraph):
@@ -108,6 +109,9 @@ class Maniplex:
         self._edges: list[Optional[Edges]] = [None] * self.rank
         self._faces: dict[int, tuple[Face, ...]] = {}
         self._splits: dict[tuple[int, int], Optional[tuple[int, int]]] = {}
+        # The face counts and incidence table of the induced poset, built by
+        # posets.induced_poset on its first call.
+        self._poset: Optional[tuple] = None
         # Bit c of _links is set when colours c and c + 1 do not commute.
         # Validation counts every neighbour pair as not commuting.
         self._links: Optional[int] = -1

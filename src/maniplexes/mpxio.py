@@ -2,9 +2,10 @@
 
 An .mpx file is a header line ``mpx <rank> <flags>`` followed by one line
 per colour listing each flag's neighbour, whitespace-separated.  ``#``
-starts a comment anywhere on a line; blank lines are ignored.  Reading a
-written graph returns an equal graph, and writing a canonical file back is
-bit-exact.
+starts a comment anywhere on a line; blank lines are ignored.  Outside
+comments a line holds ASCII only and no ``_`` or ``+``, so every integer is
+written as :func:`write_mpx` writes it.  Reading a written graph returns an
+equal graph, and writing a canonical file back is bit-exact.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ def read_mpx(text: str) -> ColouredGraph:
 
     All structural problems raise :class:`ParseError` carrying the offending
     line number; matching-level violations keep the underlying error as the
-    cause.
+    cause.  A line whose text outside its comment holds a non-ASCII
+    character, ``_`` or ``+``, all of which ``int`` accepts in an integer
+    (``1_0``, ``+1``, other scripts' digits), is refused.
     """
     header: Optional[tuple[int, int, int]] = None
     rows: list[list[int]] = []
@@ -33,7 +36,11 @@ def read_mpx(text: str) -> ColouredGraph:
     last_line = 1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         last_line = lineno
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0]
+        if not line.isascii() or "_" in line or "+" in line:
+            bad = next(ch for ch in line if not ch.isascii() or ch in "_+")
+            raise ParseError(lineno, f"{bad!r} may not appear outside a comment")
+        line = line.strip()
         if not line:
             continue
         parts = line.split()

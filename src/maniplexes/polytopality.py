@@ -24,7 +24,7 @@ from itertools import combinations, islice
 from typing import Iterable, Iterator, Optional
 
 from .errors import InconsistentVerdicts
-from .graphs import first_split
+from .graphs import first_split, numbers
 from .maniplex import Maniplex
 from .posets import (
     CheckResult,
@@ -229,7 +229,7 @@ def _certify_beta(m: Maniplex, rep: PosetReport) -> tuple[int, ...]:
     if not (rep.faithful and rep.chain_count == m.size):
         raise InconsistentVerdicts("a polytopal maniplex must match its flag graph")
     tuples = m.flag_face_ids()
-    index = {t: k for k, t in enumerate(sorted(tuples))}
+    index = dict(zip(sorted(tuples), numbers(len(tuples))))
     return tuple(index[t] for t in tuples)
 
 

@@ -13,7 +13,6 @@ flag graph of a polytope, read from the chains' one-face steps.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -193,8 +192,18 @@ def induced_poset(m: Maniplex) -> InducedPoset:
     A face's index is its block id in the colour-``i``-removed partition
     (both order faces by smallest flag), and two faces meet exactly when
     some flag carries both ids, so one pass over the flags per rank pair
-    yields the incidence table.
+    yields the incidence table.  The counts and the table are built once
+    per maniplex and kept with its other caches; each call wraps them in a
+    new poset whose source is ``m``.  The maniplex keeps no poset, so no
+    reference cycle delays freeing it.
     """
+    if m._poset is None:
+        m._poset = _incidences(m)
+    return InducedPoset(m.rank, *m._poset, m)
+
+
+def _incidences(m: Maniplex) -> tuple[tuple[int, ...], Table]:
+    """The face counts of ``m`` per rank and its incidence table."""
     n = m.rank
     parts = [m.face_partition(i) for i in range(n)]
     up = []
@@ -206,7 +215,7 @@ def induced_poset(m: Maniplex) -> InducedPoset:
                 acc[k].append(l)
             row[s] = tuple(map(tuple, acc))
         up.append(tuple(row))
-    return InducedPoset(n, [part.block_count() for part in parts], tuple(up), m)
+    return tuple(part.block_count() for part in parts), tuple(up)
 
 
 def maximal_chains(p: InducedPoset) -> tuple[MaximalChain, ...]:
@@ -220,7 +229,7 @@ def chain_intersection(
 
     The first argument may be an :class:`InducedPoset` or a
     :class:`~maniplexes.maniplex.Maniplex` (whose induced poset is built on
-    the fly).  Faces may be ``(rank, index)`` pairs or
+    its first use and kept).  Faces may be ``(rank, index)`` pairs or
     :class:`~maniplexes.maniplex.Face` objects of the maniplex the poset
     was induced from; any other ``Face`` raises :class:`OutOfRange`.
     Improper refs are allowed and contribute the full flag universe.  Two
@@ -309,17 +318,16 @@ def chain_of_flag(m: Maniplex, flag: int) -> MaximalChain:
 def is_faithful(m: Maniplex) -> CheckResult:
     """Whether distinct flags always lie on distinct maximal chains.
 
-    Checked by counting the distinct face-id tuples of the flags.  A failure
-    witness is ``(chain, (flag_a, flag_b))``: the smallest flag sharing every
-    face with a later flag, and the smallest such later flag.
+    The singletons must equal the classes of the face-id tuples, which
+    :func:`~maniplexes.graphs.first_split` decides.  A failure witness is
+    ``(chain, (flag_a, flag_b))``: the smallest flag sharing every face with
+    a later flag, and the smallest such later flag.
     """
-    tuples = m.flag_face_ids()
-    count = Counter(tuples)
-    if len(count) == m.size:
+    ids = (m.face_partition(i).ids for i in range(m.rank))
+    split = first_split(discrete(m.size), *ids)
+    if split is None:
         return CheckResult(True)
-    a = next(v for v, t in enumerate(tuples) if count[t] > 1)
-    b = tuples.index(tuples[a], a + 1)
-    return CheckResult(False, (chain_of_flag(m, a), (a, b)))
+    return CheckResult(False, (chain_of_flag(m, split[0]), split))
 
 
 # -- polytope conditions ------------------------------------------------------

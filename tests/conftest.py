@@ -14,9 +14,12 @@ counts stay as they are.
 from __future__ import annotations
 
 import inspect
+import operator
 import os
 import random
+import signal
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +41,7 @@ from maniplexes import (
     rectified_cubic_3torus,
     torus_44,
 )
+from maniplexes.graphs import gather, numbers
 
 # The CLI tests run the package in child processes, which must import it from
 # this source tree too; pyproject's `pythonpath` reaches only this process.
@@ -93,6 +97,29 @@ def ditope(m: Maniplex, at_top: bool) -> Maniplex:
     swap = [v + size for v in range(size)] + list(range(size))
     rows = rows + [swap] if at_top else [swap] + rows
     return Maniplex(build_graph(m.rank + 1, rows))
+
+
+def shares_numbers(values, size: int) -> bool:
+    """Whether each of ``values`` is the object ``numbers(size)`` holds at
+    that number, not an equal int of its own."""
+    return all(map(operator.is_, values, gather(values)(numbers(size))))
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise ``TimeoutError`` in the body after ``seconds``, so that a search
+    that cannot answer fails instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def lines_run(func, call) -> set[str]:

@@ -65,6 +65,18 @@ def test_check_parse_error_exits_two(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text",
+    ["mpx 1 2\n1 0_0\n", "mpx 1 2\n+1 0\n", "mpx 1 2\n\u0661 0\n", "mpx 1 0_2\n1 0\n"],
+)
+def test_check_an_integer_write_never_writes_exits_two(tmp_path, text):
+    bad = tmp_path / "bad.mpx"
+    bad.write_text(text, encoding="utf-8")
+    r = run("check", bad)
+    assert r.returncode == 2
+    assert "may not appear outside a comment" in r.stderr
+
+
+@pytest.mark.parametrize(
     "text, reason",
     [
         ("mpx 2 -1\n1 0\n", "flag count -1 is not positive"),
@@ -202,6 +214,21 @@ def test_gen_bad_parameter_exits_two():
 @pytest.mark.parametrize(
     "args",
     [
+        ("polygon", "--p", "32769"),
+        ("torus44", "--b", "100000"),
+        ("torus44", "--b", "350", "--c", "50"),
+        ("rect3torus", "--v1", "6945,0,0", "--v2", "0,1,0", "--v3", "0,0,1"),
+    ],
+)
+def test_gen_over_the_flag_cap_exits_two_at_once(args):
+    r = run("gen", *args, "-o", "-", timeout=30)
+    assert r.returncode == 2
+    assert "over the cap of 65536" in r.stderr and r.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
         ("polygon", "--p", "3", "--d", "9", "--b", "4", "--seed", "7"),
         ("klein44", "--p", "3"),
         ("cube", "--v1", "1,1,0"),
@@ -288,3 +315,26 @@ def test_threads_option_and_variable_are_gone():
     env_run = run("check", "--json", T11, env={**unset, "MANIPLEX_THREADS": "abc"})
     assert env_run.returncode == base.returncode, env_run.stderr
     assert env_run.stdout == base.stdout, env_run.stderr
+
+
+# -- dependencies -------------------------------------------------------------------
+
+
+def test_the_cli_imports_only_the_standard_library():
+    # Compared with the modules loaded at start-up, which a site hook may extend.
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import maniplexes.cli\n"
+        "code = maniplexes.cli.main(['check', sys.argv[1]])\n"
+        "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(code, *sorted(added - set(sys.stdlib_module_names) - {'maniplexes'}))\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", probe, str(T11)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "1"  # not polytopal, nothing foreign

@@ -26,7 +26,7 @@ from maniplexes import (
 )
 from maniplexes.errors import BadParam, DegenerateBasis
 from maniplexes.generators import _hnf_lower, _rect3_phi, _rect3_types
-from conftest import ALT_3TORUS_BASIS, lines_run
+from conftest import ALT_3TORUS_BASIS, deadline, lines_run
 import oracles
 
 
@@ -80,6 +80,32 @@ def test_generators_reject_non_integer_parameters(make):
 def test_bitflip_rejects_a_bad_rank(n):
     with pytest.raises(BadParam):
         bitflip(n)
+
+
+_DIAGONAL = ((0, 1, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "make,flags",
+    [
+        (lambda: polygon(32769), 65538),
+        (lambda: polygon(500_000), 1_000_000),
+        (lambda: torus_44(87, 25), 65552),
+        (lambda: torus_44(350, 50), 1_000_000),
+        (lambda: rectified_cubic_3torus(((456, 0, 0), *_DIAGONAL)), 65664),
+        (lambda: rectified_cubic_3torus(((6945, 0, 0), *_DIAGONAL)), 1_000_080),
+    ],
+    ids=["polygon_above", "polygon_1e6", "torus_above", "torus_1e6",
+         "3torus_above", "3torus_1e6"],
+)
+def test_generators_refuse_more_than_2_to_the_16_flags_before_building(make, flags):
+    with deadline(5), pytest.raises(BadParam) as exc:
+        make()
+    assert str(exc.value).endswith(f"has {flags} flags, over the cap of 65536")
+
+
+def test_the_flag_cap_admits_its_own_size():
+    assert polygon(32768).size == 1 << 16  # bitflip(16)'s size
 
 
 def test_3torus_rejects_singular_basis():

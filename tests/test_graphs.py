@@ -16,13 +16,21 @@ from maniplexes import (
     ColouredGraph,
     Partition,
     are_isomorphic,
+    bitflip,
     build_graph,
     components,
+    flag_graph,
     hypercube,
+    induced_poset,
     klein_44,
+    mix,
     partition_meet,
     polygon,
+    random_maniplex,
+    read_mpx,
+    rectified_cubic_3torus,
     torus_44,
+    write_mpx,
 )
 from maniplexes.errors import (
     FixedPoint,
@@ -39,10 +47,11 @@ from maniplexes.graphs import (
     extensions,
     gather,
     join,
+    numbers,
     orbit,
 )
 import oracles
-from conftest import lines_run, relabelled
+from conftest import lines_run, relabelled, shares_numbers
 
 
 # -- build_graph validation ----------------------------------------------------
@@ -108,8 +117,14 @@ def test_build_graph_rejects_a_non_integer_rank():
 
 
 def test_build_graph_rejects_a_non_integer_entry():
-    with pytest.raises(OutOfRange, match="colour 0 has a non-integer entry"):
-        build_graph(1, [[1.0, 0]])
+    # A float is named before an entry out of range on either side of it,
+    # as the flag scan names it.
+    for rows in ([[1.0, 0]], [[1.0, 7]], [[7, 1.0]], [[-1, 0.5]], [[1, 0], [9, 2.5]]):
+        c = len(rows) - 1
+        with pytest.raises(OutOfRange, match=f"colour {c} has a non-integer entry"):
+            build_graph(len(rows), rows)
+        got = _outcome(build_graph, len(rows), rows)
+        assert got == _outcome(oracles.build_graph, len(rows), rows), rows
 
 
 def test_error_scan_order_is_colour_major():
@@ -189,6 +204,68 @@ def test_build_graph_scans_flags_only_for_a_refused_row():
     assert scan in lines_run(
         build_graph, lambda: pytest.raises(NotInvolution, build_graph, 3, refused)
     )
+
+
+# -- shared flag numbers -------------------------------------------------------
+
+
+def test_numbers_is_one_tuple_per_size():
+    assert numbers(300) == tuple(range(300))
+    assert numbers(300) is numbers(300)
+    assert discrete(300).ids is numbers(300)
+    assert discrete(300).reps is numbers(300)
+
+
+def _fresh_rows(m):
+    """``m``'s rows as lists of ints of their own (none is shared)."""
+    return [[int(str(w)) for w in row] for row in m.graph.matchings]
+
+
+def test_graphs_keep_each_entry_as_the_shared_number():
+    # Above 256 flags, where CPython no longer shares equal ints.
+    graphs = {
+        "build_graph": build_graph(4, _fresh_rows(hypercube(4))),
+        "read_mpx": read_mpx(write_mpx(torus_44(7, 0).graph)),
+        "mix": mix(torus_44(2, 0), torus_44(3, 0)).graph,
+        "polygon": polygon(150).graph,
+        "hypercube": hypercube(4).graph,
+        "bitflip": bitflip(9).graph,
+        "torus_44": torus_44(6, 1).graph,
+        "klein_44": klein_44().graph,
+        "rectified_cubic_3torus": rectified_cubic_3torus().graph,
+        "random_maniplex": random_maniplex(4, 0, 512).graph,
+        "flag_graph": flag_graph(induced_poset(torus_44(6, 0))).graph,
+    }
+    assert min(g.size for name, g in graphs.items() if name != "klein_44") > 256
+    for name, g in graphs.items():
+        assert all(shares_numbers(row, g.size) for row in g.matchings), name
+
+
+class _Probe:
+    """A sequence of ``size`` items that records each index it is read at."""
+
+    def __init__(self, size):
+        self.size, self.read = size, []
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return i
+
+
+def test_edge_gathers_read_shared_numbers():
+    g = build_graph(4, _fresh_rows(hypercube(4)))
+    for row in g.matchings:
+        probe = _Probe(g.size)
+        assert list(edge_gather(row)(probe))
+        assert shares_numbers(probe.read, g.size)
+    # The sources are read first; an arbitrary list's targets are its own.
+    row = [(v + 1) % 300 for v in range(300)]
+    probe = _Probe(300)
+    pairs = list(edge_gather(row)(probe))
+    assert len(pairs) == 300 and shares_numbers(probe.read[:300], 300)
 
 
 # -- breadth-first numbering ---------------------------------------------------

@@ -25,7 +25,7 @@ from maniplexes import (
 )
 from maniplexes import cli
 from maniplexes.errors import ParseError
-from conftest import ALT_3TORUS_BASIS
+from conftest import ALT_3TORUS_BASIS, shares_numbers
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -79,6 +79,37 @@ def test_read_rejects_malformed_input(text, line, fragment):
         read_mpx(text)
     assert exc.value.line == line
     assert fragment in exc.value.reason
+
+
+@pytest.mark.parametrize(
+    "text,line,char",
+    [
+        ("mpx 1 2\n1 0_0\n", 2, "'_'"),
+        ("mpx 1 2\n+1 0\n", 2, "'+'"),
+        ("mpx 1 2\n\u0661 0\n", 2, "'\u0661'"),  # an Arabic-Indic one
+        ("mpx 1 0_2\n1 0\n", 1, "'_'"),
+        ("mpx 1 2\n1\u00a00\n", 2, "'\\xa0'"),  # a no-break space
+        ("mpx 2 2\n1 0\n-1 +0\n", 3, "'+'"),
+    ],
+)
+def test_read_refuses_integers_that_write_never_writes(text, line, char):
+    # int() accepts each of these; write_mpx writes none of them.
+    with pytest.raises(ParseError) as exc:
+        read_mpx(text)
+    assert exc.value.line == line
+    assert exc.value.reason == f"{char} may not appear outside a comment"
+
+
+def test_read_allows_any_character_in_a_comment():
+    g = read_mpx("mpx 1 2 # \u0661 +1 1_0 \u00e9\n1 0#_+\n")
+    assert g.matchings == ((1, 0),)
+
+
+def test_read_mpx_keeps_each_entry_as_the_shared_number():
+    text = write_mpx(torus_44(7, 0).graph)
+    g = read_mpx(text)
+    assert g.size == 392
+    assert all(shares_numbers(row, g.size) for row in g.matchings)
 
 
 def test_write_then_read_round_trips_every_fixture(all_fixtures):

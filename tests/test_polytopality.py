@@ -48,6 +48,7 @@ from conftest import (
     dual,
     lines_run,
     relabelled,
+    shares_numbers,
     squares_mod_half_turn,
     torus11_times_bits,
 )
@@ -623,6 +624,12 @@ def test_isomorphism_is_the_one_the_anchor_search_finds(all_fixtures, corpus):
         searched = are_isomorphic(m.graph, flag_graph(induced_poset(m)).graph)
         assert rep.flag_graph_isomorphism == searched, label
     assert len(polytopal) == 12 + 503 + 7
+
+
+def test_each_entry_of_beta_is_the_shared_number():
+    for m in (torus_44(6, 0), bitflip(9)):
+        beta = is_polytopal(m).flag_graph_isomorphism
+        assert m.size > 256 and shares_numbers(beta, m.size)
 
 
 def test_certificate_refuses_a_report_that_cannot_make_beta_bijective():

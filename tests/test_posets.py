@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import hashlib
-import signal
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from maniplexes import posets
 from maniplexes import (
+    Maniplex,
     InducedPoset,
     MaximalChain,
     all_chains,
@@ -23,6 +23,7 @@ from maniplexes import (
     hypercube,
     induced_poset,
     is_faithful,
+    is_polytopal,
     is_polytope,
     maximal_chains,
     polygon,
@@ -34,7 +35,13 @@ from maniplexes import (
     write_mpx,
 )
 from maniplexes.errors import NoFlagSets, NotAChain, NotComparable, OutOfRange
-from conftest import ALT_3TORUS_BASIS, POLYTOPAL_NAMES, relabelled, torus11_times_bits
+from conftest import (
+    ALT_3TORUS_BASIS,
+    POLYTOPAL_NAMES,
+    deadline,
+    relabelled,
+    torus11_times_bits,
+)
 from oracles import faithful_by_chain_count, faithful_by_enumeration, poset_isomorphic
 
 
@@ -393,6 +400,24 @@ def test_chain_intersection_accepts_maniplex_and_faces():
     m = torus_44(1, 1)
     got = chain_intersection(m, [m.faces(0)[0], m.faces(2)[0]])
     assert got == frozenset({0, 3, 4, 7})
+
+
+def test_one_maniplex_builds_its_poset_once(monkeypatch):
+    built = []
+
+    def incidences(m):
+        built.append(m)
+        return real(m)
+
+    real = posets._incidences
+    monkeypatch.setattr(posets, "_incidences", incidences)
+    m = torus_44(3, 0)
+    faces = [m.faces(0)[0], m.faces(2)[0]]
+    assert len({chain_intersection(m, faces) for _ in range(20)}) == 1
+    is_polytopal(m)
+    assert built == [m]
+    assert induced_poset(m).up is induced_poset(m).up
+    assert induced_poset(m).source is m
 
 
 def test_chain_intersection_refuses_a_face_of_another_maniplex():
@@ -783,23 +808,6 @@ def test_poset_isomorphism_respects_order():
             assert p.leq(a, b) == q.leq(iso[a], iso[b])
 
 
-@contextmanager
-def _deadline(seconds):
-    """Raise ``TimeoutError`` in the body after ``seconds``, so that a search
-    that cannot answer fails instead of hanging the suite."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"no answer within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize(
     "make",
     [lambda: torus_44(4, 0), lambda: hypercube(4)],
@@ -810,7 +818,7 @@ def test_poset_isomorphism_of_a_relabelled_copy_respects_order(make):
     # tried every vertex assignment before an edge could rule one out
     m = make()
     p, q = induced_poset(m), induced_poset(relabelled(m, 7))
-    with _deadline(10):
+    with deadline(10):
         iso = poset_isomorphic(p, q)
     assert iso is not None
     refs = _all_refs(p)
@@ -825,7 +833,7 @@ def test_poset_isomorphism_of_a_relabelled_copy_respects_order(make):
 def test_poset_isomorphism_needs_no_recursion_per_element():
     # 1156 proper elements, more than the default recursion limit
     p = induced_poset(torus_44(17, 0))
-    with _deadline(30):
+    with deadline(30):
         iso = poset_isomorphic(p, p)
     assert iso is not None
     assert len(iso) == sum(p.counts()) + 2
