@@ -25,7 +25,7 @@ from maniplexes import (
 )
 from maniplexes import cli
 from maniplexes.errors import ParseError
-from conftest import ALT_3TORUS_BASIS, shares_numbers
+from conftest import ALT_3TORUS_BASIS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -103,13 +103,6 @@ def test_read_refuses_integers_that_write_never_writes(text, line, char):
 def test_read_allows_any_character_in_a_comment():
     g = read_mpx("mpx 1 2 # \u0661 +1 1_0 \u00e9\n1 0#_+\n")
     assert g.matchings == ((1, 0),)
-
-
-def test_read_mpx_keeps_each_entry_as_the_shared_number():
-    text = write_mpx(torus_44(7, 0).graph)
-    g = read_mpx(text)
-    assert g.size == 392
-    assert all(shares_numbers(row, g.size) for row in g.matchings)
 
 
 def test_write_then_read_round_trips_every_fixture(all_fixtures):
