@@ -9,9 +9,9 @@ This module knows nothing about maniplexes; it provides the graph container,
 the breadth-first numbering, :func:`orbit`, behind the generators' graphs
 built by rule from a base state (the mix numbers its flag pairs in the same
 order with a loop of its own) and :func:`component_rows`, component
-partitions grown by the one union-find :func:`join` along a map's
-:func:`edge_gather` or, along a map that pairs whole blocks, by
-:func:`pair_join`, the one split test, :func:`first_split`, behind the
+partitions grown by the one union-find :func:`join` along a map's pairs
+or, along a map that pairs whole blocks, by :func:`pair_join`, both given
+the map itself, the one split test, :func:`first_split`, behind the
 intersection criteria, strong flag connectivity and the disconnection
 witness, and the one anchor search, :func:`extensions`, behind
 colour-preserving isomorphisms and coverings.  No code in the package calls
@@ -50,9 +50,9 @@ def numbers(size: int) -> tuple[int, ...]:
     most recently asked for (a benchmark run uses at most 8).
 
     CPython shares only the ints up to 256, so every flag number the package
-    keeps, in matchings, singleton partitions, edge gathers and the
-    flag-to-chain map, is read from here: equal numbers are then one object
-    and not one 28-byte int per entry."""
+    keeps, in matchings, singleton partitions and the flag-to-chain map, is
+    read from here: equal numbers are then one object and not one 28-byte
+    int per entry."""
     return tuple(range(size))
 
 
@@ -274,32 +274,25 @@ def gather(indices: Sequence[int]) -> Callable[[Sequence[Any]], tuple]:
     return lambda seq: ()
 
 
-Edges = Callable[[Sequence[int]], Iterable[tuple[int, int]]]
+def join(part: Partition, row: Sequence[int]) -> Partition:
+    """``part`` with the blocks of ``v`` and ``row[v]`` merged for every
+    ``v``; ``part`` itself when nothing merges.
 
-
-def edge_gather(row: Sequence[int]) -> Edges:
-    """The pairs of ``row`` as a gather: given block ids, it yields
-    ``(ids[v], ids[row[v]])`` for each ``v`` with ``row[v] < v`` or
-    ``row[row[v]] != v``.  A ``v`` below ``row[v]`` is skipped only when
-    ``row[v]`` maps back to it, so every pair is read, and each edge of an
-    involution, or each move of a map with ``row[v] <= v``, just once."""
-    src = [v for v, w in zip(numbers(len(row)), row) if w < v or row[w] != v]
-    lo, hi = gather(src), gather([row[v] for v in src])
-    return lambda ids: zip(lo(ids), hi(ids))
-
-
-def join(part: Partition, edges: Edges) -> Partition:
-    """``part`` with the two blocks of every pair that ``edges``, an
-    :func:`edge_gather`, reads from its ids merged; ``part`` itself when
-    nothing merges.
+    ``row`` may be any map on the flags.  Its pairs are read from one end
+    each: ``v`` is a source when ``row[v] < v`` or ``row[row[v]] != v``, so
+    each edge of an involution, or each move of a map with ``row[v] <= v``,
+    is read once, and every pair at least once.
 
     The union runs on block ids and keeps the smaller id as the root.  Blocks
     are ordered by smallest flag, so numbering the roots in block order keeps
     the ids canonical, and each root keeps its block's smallest flag.
     """
     ids = part.ids
+    src = [v for v, w in zip(numbers(len(row)), row) if w < v or row[w] != v]
+    at = gather(src)
+    lo, hi = at(ids), gather(at(row))(ids)
     parent = list(range(part.block_count()))
-    for a, b in set(edges(ids)):
+    for a, b in set(zip(lo, hi)):
         while a != parent[a]:
             parent[a] = a = parent[parent[a]]
         while b != parent[b]:
@@ -355,7 +348,7 @@ def components(graph: ColouredGraph, colours: Iterable[int]) -> Partition:
     )
     part = discrete(graph.size)
     for c in cols:
-        part = join(part, edge_gather(graph.matchings[c]))
+        part = join(part, graph.matchings[c])
     return part
 
 

@@ -26,12 +26,10 @@ from .errors import (
 )
 from .graphs import (
     ColouredGraph,
-    Edges,
     Partition,
     build_graph,
     component_rows,
     discrete,
-    edge_gather,
     first_split,
     gather,
     index_in_range,
@@ -93,12 +91,11 @@ class Maniplex:
     breadth-first numbering (the mix's and :func:`~maniplexes.graphs.orbit`'s),
     is connected, so its validation builds no partition; any other graph's
     connectivity is decided by its components over all colours.  Component
-    partitions are cached per colour subset, and each colour's
-    :func:`~maniplexes.graphs.edge_gather` is built on its first
-    :func:`~maniplexes.graphs.join`.  Which neighbouring colours commute is
-    read on the first partition built after validation, and the split
-    results of the intersection criteria are cached per unordered mask pair,
-    as is the incidence table of the induced poset once it is built.
+    partitions are cached per colour subset, and nothing is kept per colour.
+    Which neighbouring colours commute is read on the first partition built
+    after validation, and the split results of the intersection criteria are
+    cached per unordered mask pair, as is the incidence table of the induced
+    poset once it is built.
     """
 
     def __init__(self, graph: ColouredGraph):
@@ -106,7 +103,6 @@ class Maniplex:
         self.rank = graph.rank
         self.size = graph.size
         self._parts = {0: discrete(self.size)}
-        self._edges: list[Optional[Edges]] = [None] * self.rank
         self._faces: dict[int, tuple[Face, ...]] = {}
         self._splits: dict[tuple[int, int], Optional[tuple[int, int]]] = {}
         # The face counts and incidence table of the induced poset, built by
@@ -174,13 +170,7 @@ class Maniplex:
             lone = mask & ~((links & mask >> 1) | (links & mask) << 1)
             c = (lone & -lone if lone else mask).bit_length() - 1
             prefix = self._components(mask ^ (1 << c))
-            if lone:
-                part = pair_join(prefix, self.graph.matchings[c])
-            else:
-                edges = self._edges[c]
-                if edges is None:
-                    edges = self._edges[c] = edge_gather(self.graph.matchings[c])
-                part = join(prefix, edges)
+            part = (pair_join if lone else join)(prefix, self.graph.matchings[c])
             self._parts[mask] = part
         return part
 

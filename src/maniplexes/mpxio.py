@@ -1,17 +1,20 @@
 """Serialization: the .mpx text format, DOT graphs, and JSON reports.
 
 An .mpx file is a header line ``mpx <rank> <flags>`` followed by one line
-per colour listing each flag's neighbour, whitespace-separated.  ``#``
-starts a comment anywhere on a line; blank lines are ignored.  Outside
-comments a line holds ASCII only and no ``_`` or ``+``, so every integer is
-written as :func:`write_mpx` writes it.  Reading a written graph returns an
-equal graph, and writing a canonical file back is bit-exact.
+per colour listing each flag's neighbour, separated by spaces or tabs.
+Lines end at ``\n``, and one ``\r`` before it is dropped.  ``#`` starts a
+comment anywhere on a line; blank lines are ignored.  Outside comments a
+line holds printable ASCII, spaces and tabs only, and no ``_`` or ``+``, so
+every integer is written as :func:`write_mpx` writes it.  Reading a written
+graph returns an equal graph, and writing a canonical file back is
+bit-exact.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from typing import Any, Optional
 
 from .errors import ManiplexError, ParseError
@@ -20,26 +23,37 @@ from .maniplex import Maniplex
 from .posets import InducedPoset, PosetReport
 from .polytopality import PolytopalityReport
 
+# The first character that may not appear outside a comment: anything but
+# printable ASCII, space and tab, and the ``_`` and ``+`` that ``int`` reads.
+_FORBIDDEN = re.compile(r"[^\t\x20-\x7e]|[_+]")
+
 
 def read_mpx(text: str) -> ColouredGraph:
     """Parse an .mpx document into a validated coloured graph.
 
     All structural problems raise :class:`ParseError` carrying the offending
     line number; matching-level violations keep the underlying error as the
-    cause.  A line whose text outside its comment holds a non-ASCII
-    character, ``_`` or ``+``, all of which ``int`` accepts in an integer
-    (``1_0``, ``+1``, other scripts' digits), is refused.
+    cause.  A line whose text outside its comment holds a character other
+    than printable ASCII, space and tab, or holds ``_`` or ``+``, is
+    refused: ``int`` accepts ``1_0``, ``+1`` and other scripts' digits, and
+    ``str.splitlines`` would break a line at a vertical tab, a form feed or
+    U+2028.
     """
     header: Optional[tuple[int, int, int]] = None
     rows: list[list[int]] = []
     row_lines: list[int] = []
     last_line = 1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the end of the last line, not a line of its own
+    for lineno, raw in enumerate(lines, start=1):
         last_line = lineno
-        line = raw.split("#", 1)[0]
-        if not line.isascii() or "_" in line or "+" in line:
-            bad = next(ch for ch in line if not ch.isascii() or ch in "_+")
-            raise ParseError(lineno, f"{bad!r} may not appear outside a comment")
+        line = raw.removesuffix("\r").split("#", 1)[0]
+        bad = _FORBIDDEN.search(line)
+        if bad is not None:
+            raise ParseError(
+                lineno, f"{bad.group()!r} may not appear outside a comment"
+            )
         line = line.strip()
         if not line:
             continue

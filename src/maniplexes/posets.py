@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InconsistentVerdicts, ManiplexError, NoFlagSets, NotAChain
-from .errors import NotAPolytope, NotComparable, OutOfRange
-from .graphs import build_graph, discrete, edge_gather, first_split
+from .errors import NotAPolytope, NotComparable, OutOfRange, RankOutOfRange
+from .graphs import build_graph, discrete, first_split
 from .graphs import index_in_range, join
 from .maniplex import Face, Maniplex
 
@@ -370,14 +370,15 @@ def strong_flag_connectivity(p: InducedPoset) -> CheckResult:
     """
     chains = p._chain_tuples()
     cols = tuple(zip(*chains))
-    # rep[b] gathers the chain steps at rank b; a chain's step never comes
-    # after it, so the gather reads only the chains the step moves.
-    rep = list(map(edge_gather, p._chain_steps()))
+    # steps[b] sends each chain to the first chain equal to it except at
+    # rank b; a chain's step never comes after it, so join reads only the
+    # chains the step moves.
+    steps = list(p._chain_steps())
     pairs: list[tuple[int, int]] = []
     for a in range(p.n - 1):
-        comps = join(discrete(len(chains)), rep[a])
+        comps = join(discrete(len(chains)), steps[a])
         for b in range(a + 1, p.n):
-            comps = join(comps, rep[b])
+            comps = join(comps, steps[b])
             split = first_split(comps, *cols[:a], *cols[b + 1 :])
             if split is not None:
                 pairs.append(split)
@@ -502,8 +503,12 @@ def flag_graph(p: InducedPoset) -> Maniplex:
     Colour ``r`` pairs the two chains that differ exactly at rank ``r``: the
     diamond condition makes each class of chains equal except there a pair,
     whose later chain steps to its first, and the first goes to the last
-    chain that steps to it.  Raises :class:`NotAPolytope` on any other poset.
+    chain that steps to it.  Raises :class:`RankOutOfRange` on a poset of
+    rank 0, whose one chain has no colour, and :class:`NotAPolytope` on any
+    other poset that is not a polytope.
     """
+    if p.n == 0:
+        raise RankOutOfRange("a poset of rank 0 has no flag graph")
     rep = p.report()
     if not rep.is_polytope:
         names = ("uniform chain length", "diamond", "strong flag connectivity")

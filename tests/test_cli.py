@@ -76,6 +76,15 @@ def test_check_an_integer_write_never_writes_exits_two(tmp_path, text):
     assert "may not appear outside a comment" in r.stderr
 
 
+@pytest.mark.parametrize("ch", ["\u2028", "\x0c", "\r"])
+def test_check_a_line_break_write_never_writes_exits_two(tmp_path, ch):
+    bad = tmp_path / "bad.mpx"
+    bad.write_bytes(f"mpx 1 2\n1{ch}0\n".encode())
+    r = run("check", bad)
+    assert r.returncode == 2
+    assert r.stderr == f"error: line 2: {ch!r} may not appear outside a comment\n"
+
+
 @pytest.mark.parametrize(
     "text, reason",
     [

@@ -24,7 +24,8 @@ from maniplexes import (
     torus_44,
     write_mpx,
 )
-from maniplexes.errors import BadParam, DegenerateBasis
+from maniplexes import generators
+from maniplexes.errors import BadParam, BudgetExhausted, DegenerateBasis
 from maniplexes.generators import _hnf_lower, _rect3_phi, _rect3_types
 from conftest import ALT_3TORUS_BASIS, deadline, lines_run
 import oracles
@@ -318,6 +319,22 @@ def test_random_is_deterministic_per_seed():
     b = random_maniplex(3, 42)
     assert a.graph.matchings == b.graph.matchings
     assert a.size == 12
+
+
+def test_random_gives_up_after_400_failed_samples(monkeypatch):
+    calls = []
+
+    def never(rng, rank, budget):
+        calls.append((rank, budget))
+        return None
+
+    monkeypatch.setattr(generators, "_try_random", never)
+    with pytest.raises(BudgetExhausted) as exc:
+        random_maniplex(4, 0, budget=32)
+    assert str(exc.value) == (
+        "no valid rank-4 sample within 32 flags after 400 tries"
+    )
+    assert calls == [(4, 32)] * 400
 
 
 def test_random_rank_one_is_the_segment():

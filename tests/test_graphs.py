@@ -43,7 +43,6 @@ from maniplexes.errors import (
 from maniplexes.graphs import (
     _propagate,
     discrete,
-    edge_gather,
     extensions,
     gather,
     join,
@@ -241,33 +240,6 @@ def test_graphs_keep_each_entry_as_the_shared_number():
         assert all(shares_numbers(row, g.size) for row in g.matchings), name
 
 
-class _Probe:
-    """A sequence of ``size`` items that records each index it is read at."""
-
-    def __init__(self, size):
-        self.size, self.read = size, []
-
-    def __len__(self):
-        return self.size
-
-    def __getitem__(self, i):
-        self.read.append(i)
-        return i
-
-
-def test_edge_gathers_read_shared_numbers():
-    g = build_graph(4, _fresh_rows(hypercube(4)))
-    for row in g.matchings:
-        probe = _Probe(g.size)
-        assert list(edge_gather(row)(probe))
-        assert shares_numbers(probe.read, g.size)
-    # The sources are read first; an arbitrary list's targets are its own.
-    row = [(v + 1) % 300 for v in range(300)]
-    probe = _Probe(300)
-    pairs = list(edge_gather(row)(probe))
-    assert len(pairs) == 300 and shares_numbers(probe.read[:300], 300)
-
-
 # -- breadth-first numbering ---------------------------------------------------
 
 
@@ -362,7 +334,7 @@ def test_join_folds_match_the_union_find_oracle(data):
     graph = ColouredGraph(len(rows), size, tuple(map(tuple, rows)))
     part = discrete(size)
     for row in rows:
-        part = join(part, edge_gather(row))
+        part = join(part, row)
     want = oracles.components(graph, range(len(rows)))
     assert (part.ids, part.block_count()) == (want.ids, want.block_count())
     assert list(part.reps) == [b[0] for b in want.blocks()]
@@ -374,34 +346,27 @@ def test_gather_returns_a_tuple_for_none_one_and_many_indices():
     assert gather([2, 0])("abc") == ("c", "a")
 
 
-def test_edge_gather_reads_each_edge_of_an_involution_once():
+def test_join_along_an_involution_pairs_the_ends_of_each_edge():
     row = polygon(4).graph.matchings[0]
-    pairs = list(edge_gather(row)(range(len(row))))
+    part = join(discrete(len(row)), row)
     edges = {frozenset((v, w)) for v, w in enumerate(row)}
-    assert len(pairs) == len(edges) == len(row) // 2
-    assert set(map(frozenset, pairs)) == edges
-    assert all(a > b for a, b in pairs)
+    assert part.block_count() == len(edges) == len(row) // 2
+    assert set(map(frozenset, part.blocks())) == edges
 
 
 def test_join_along_the_segment_reads_its_one_pair():
-    segment = discrete(2)
-    assert list(edge_gather([1, 0])(segment.ids)) == [(1, 0)]
-    part = join(segment, edge_gather([1, 0]))
+    part = join(discrete(2), [1, 0])
     assert (part.ids, list(part.reps)) == ((0, 0), [0])
 
 
 def test_join_along_an_identity_row_reads_no_pair_and_keeps_the_partition():
     for part in (discrete(4), Partition([0, 1, 0, 2])):
-        edges = edge_gather(range(4))
-        assert list(edges(part.ids)) == []
-        assert join(part, edges) is part
+        assert join(part, range(4)) is part
 
 
-def test_edge_gather_of_an_arbitrary_map_reads_every_pair():
+def test_join_along_an_arbitrary_map_reads_every_pair():
     # 0 -> 2 -> 1 -> 1: neither an involution nor below the identity
-    row = [2, 1, 1]
-    assert sorted(edge_gather(row)(range(3))) == [(0, 2), (2, 1)]
-    assert join(discrete(3), edge_gather(row)).ids == (0, 0, 0)
+    assert join(discrete(3), [2, 1, 1]).ids == (0, 0, 0)
 
 
 def test_a_one_block_partition_reads_ids_at_flag_0():

@@ -105,6 +105,31 @@ def test_read_allows_any_character_in_a_comment():
     assert g.matchings == ((1, 0),)
 
 
+# Line breaks of str.splitlines that write_mpx never writes, and a lone
+# carriage return.
+STRAY_BREAKS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\r"]
+
+
+@pytest.mark.parametrize("ch", STRAY_BREAKS)
+def test_read_refuses_a_line_break_write_never_writes(ch):
+    for text, line in ((f"mpx 1 2{ch}1 0\n", 1), (f"mpx 1 2\n1{ch}0\n", 2)):
+        with pytest.raises(ParseError) as exc:
+            read_mpx(text)
+        assert exc.value.line == line
+        assert exc.value.reason == f"{ch!r} may not appear outside a comment"
+
+
+@pytest.mark.parametrize("ch", STRAY_BREAKS)
+def test_read_allows_a_line_break_in_a_comment(ch):
+    g = read_mpx(f"mpx 1 2 # a{ch}b\n# {ch}\n1 0 #{ch}{ch}\n")
+    assert g.matchings == ((1, 0),)
+
+
+def test_read_crlf_equals_its_lf_twin():
+    text = "# the 4.4 torus\n\n" + write_mpx(torus_44(2, 1).graph) + "# end\n"
+    assert read_mpx(text.replace("\n", "\r\n")) == read_mpx(text)
+
+
 def test_write_then_read_round_trips_every_fixture(all_fixtures):
     for name, m in all_fixtures.items():
         text = write_mpx(m.graph)

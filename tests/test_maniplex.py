@@ -306,13 +306,13 @@ def test_partitions_from_cached_prefixes_equal_graph_components(all_fixtures, co
 def test_bitflip8_joins_only_masks_without_a_lone_colour(monkeypatch):
     """Every colour of a bit-flip maniplex commutes with every other, so
     each of the 255 nonempty masks of rank 8 pairs blocks along its lowest
-    colour: no mask goes through the union-find, and no edge gather, colour
-    0's included, is ever built."""
+    colour: no mask goes through the union-find, which is where a colour's
+    pairs are gathered."""
     calls = []
 
-    def counting_join(part, edges):
-        calls.append(edges)
-        return join(part, edges)
+    def counting_join(part, row):
+        calls.append(row)
+        return join(part, row)
 
     graph = bitflip(8).graph
     monkeypatch.setattr(maniplex_module, "join", counting_join)
@@ -322,7 +322,6 @@ def test_bitflip8_joins_only_masks_without_a_lone_colour(monkeypatch):
     assert len(m._parts) == 256
     assert m._links == 0
     assert calls == []
-    assert m._edges == [None] * 8
 
 
 def _joined_masks(m, monkeypatch):
@@ -331,9 +330,9 @@ def _joined_masks(m, monkeypatch):
     joined = set()
     mask = None
 
-    def recording_join(part, edges):
+    def recording_join(part, row):
         joined.add(mask)
-        return join(part, edges)
+        return join(part, row)
 
     monkeypatch.setattr(maniplex_module, "join", recording_join)
     m._parts = {0: m._parts[0]}
@@ -507,6 +506,13 @@ def test_middle_face_as_maniplex_is_rejected():
     m = hypercube(3)
     with pytest.raises(RankOutOfRange):
         m.face_as_maniplex(m.faces(1)[0])
+
+
+def test_no_face_of_a_rank_1_maniplex_is_a_maniplex():
+    m = bitflip(1)
+    for face in m.faces(0):
+        with pytest.raises(RankOutOfRange, match="below rank 2"):
+            m.face_as_maniplex(face)
 
 
 # -- paths ------------------------------------------------------------------------

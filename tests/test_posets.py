@@ -34,7 +34,13 @@ from maniplexes import (
     uniform_chain_length,
     write_mpx,
 )
-from maniplexes.errors import NoFlagSets, NotAChain, NotComparable, OutOfRange
+from maniplexes.errors import (
+    NoFlagSets,
+    NotAChain,
+    NotComparable,
+    OutOfRange,
+    RankOutOfRange,
+)
 from conftest import (
     ALT_3TORUS_BASIS,
     POLYTOPAL_NAMES,
@@ -418,6 +424,30 @@ def test_one_maniplex_builds_its_poset_once(monkeypatch):
     assert built == [m]
     assert induced_poset(m).up is induced_poset(m).up
     assert induced_poset(m).source is m
+
+
+def _gap_1_sections():
+    """The sections of ``torus_44(2, 0)``'s poset between each vertex and
+    each edge on it: posets of rank 0, with no proper face."""
+    p = induced_poset(torus_44(2, 0))
+    for k, edges in enumerate(p.up[0][1]):
+        for e in edges:
+            yield section(p, (0, k), (1, e))
+
+
+def test_a_gap_1_section_is_a_polytope_with_one_chain():
+    sections = list(_gap_1_sections())
+    assert len(sections) == 16  # 8 edges, 2 vertices each
+    for s in sections:
+        report = s.report()
+        assert s.n == 0 and report.is_polytope and report.chain_count == 1
+
+
+def test_flag_graph_refuses_a_poset_of_rank_0():
+    for s in _gap_1_sections():
+        with pytest.raises(RankOutOfRange) as exc:
+            flag_graph(s)
+        assert str(exc.value) == "a poset of rank 0 has no flag graph"
 
 
 def test_chain_intersection_refuses_a_face_of_another_maniplex():
