@@ -49,11 +49,13 @@ def read_mpx(text: str) -> ColouredGraph:
     for lineno, raw in enumerate(lines, start=1):
         last_line = lineno
         line = raw.removesuffix("\r").split("#", 1)[0]
-        bad = _FORBIDDEN.search(line)
-        if bad is not None:
-            raise ParseError(
-                lineno, f"{bad.group()!r} may not appear outside a comment"
-            )
+        # Decided in C; a line that fails, or holds a tab, is searched.
+        if not (line.isascii() and line.isprintable()) or "_" in line or "+" in line:
+            bad = _FORBIDDEN.search(line)
+            if bad is not None:
+                raise ParseError(
+                    lineno, f"{bad.group()!r} may not appear outside a comment"
+                )
         line = line.strip()
         if not line:
             continue
