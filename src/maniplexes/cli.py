@@ -4,8 +4,8 @@ Subcommands: ``check`` (polytopality report), ``gen`` (generator families),
 ``poset`` (induced poset summaries and DOT), ``mix`` (parallel product),
 ``iso`` (flag-graph isomorphism), and ``cover`` (covering map search).
 
-Exit codes: 0 success / polytopal, 1 negative verdict, 2 invalid data,
-64 usage errors, 66 unreadable input.
+Exit codes: 0 success / polytopal, 1 negative verdict, 2 invalid data or
+a check refused over its work cap, 64 usage errors, 66 unreadable input.
 """
 
 from __future__ import annotations

@@ -115,6 +115,11 @@ class BudgetExhausted(ManiplexError):
     """Random generation hit its retry budget without producing a valid graph."""
 
 
+class WorkLimit(ManiplexError):
+    """A check would do more work than its cap allows, so it is refused
+    before it starts."""
+
+
 class ParseError(ManiplexError):
     """A file could not be parsed; carries the 1-based line number."""
 

@@ -11,7 +11,8 @@ built by rule from a base state (the mix numbers its flag pairs in the same
 order with a loop of its own) and :func:`component_rows`, component
 partitions grown by the one union-find :func:`join` along a map's pairs
 or, along a map that pairs whole blocks, by :func:`pair_join`, both given
-the map itself, the one split test, :func:`first_split`, behind the
+the map itself and both ending in one renumbering, :func:`_renumber`, the
+one split test, :func:`first_split`, behind the
 intersection criteria, strong flag connectivity and the disconnection
 witness, and the one anchor search, :func:`extensions`, behind
 colour-preserving isomorphisms and coverings.  No code in the package calls
@@ -197,12 +198,13 @@ class Partition:
 
     Block ids are assigned by first appearance, so two partitions are equal
     iff their id arrays are equal; no normalisation pass is ever needed.
-    Any hashable labels are relabelled that way.  A builder whose ids are
-    already canonical passes ``_reps``, the smallest flag of each block, and
-    skips the relabelling.
+    Any hashable labels are relabelled that way.  ``reps``, the smallest
+    flag of each block in block order, is set at construction: found after
+    a relabelling, or passed as ``_reps`` by a builder whose ids are already
+    canonical, which skips the relabelling.
     """
 
-    __slots__ = ("size", "ids", "_count", "_reps", "_blocks")
+    __slots__ = ("size", "ids", "reps", "_blocks")
 
     def __init__(
         self, ids: Iterable[Hashable], *, _reps: Optional[Sequence[int]] = None
@@ -210,28 +212,18 @@ class Partition:
         if _reps is None:
             relabel: dict[Hashable, int] = {}
             ids = [relabel.setdefault(x, len(relabel)) for x in ids]
-            self._count = len(relabel)
-        else:
-            self._count = len(_reps)
+            # Ids appear in ascending order, so each search starts at the last.
+            _reps, v = [], 0
+            for b in range(len(relabel)):
+                v = ids.index(b, v)
+                _reps.append(v)
         self.ids = tuple(ids)
         self.size = len(self.ids)
-        self._reps = _reps
+        self.reps = _reps
         self._blocks: Optional[tuple[tuple[int, ...], ...]] = None
 
     def block_count(self) -> int:
-        return self._count
-
-    @property
-    def reps(self) -> Sequence[int]:
-        """The smallest flag of each block, in block order."""
-        if self._reps is None:
-            # Ids appear in ascending order, so each search starts at the last.
-            reps, v = [], 0
-            for b in range(self._count):
-                v = self.ids.index(b, v)
-                reps.append(v)
-            self._reps = reps
-        return self._reps
+        return len(self.reps)
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Blocks as ascending tuples, ordered by their smallest element."""
@@ -283,9 +275,8 @@ def join(part: Partition, row: Sequence[int]) -> Partition:
     each edge of an involution, or each move of a map with ``row[v] <= v``,
     is read once, and every pair at least once.
 
-    The union runs on block ids and keeps the smaller id as the root.  Blocks
-    are ordered by smallest flag, so numbering the roots in block order keeps
-    the ids canonical, and each root keeps its block's smallest flag.
+    The union runs on block ids and keeps the smaller id as the root, so
+    every parent sits below its child, as :func:`_renumber` needs.
     """
     ids = part.ids
     src = [v for v, w in zip(numbers(len(row)), row) if w < v or row[w] != v]
@@ -301,19 +292,7 @@ def join(part: Partition, row: Sequence[int]) -> Partition:
             parent[b] = a
         elif b < a:
             parent[a] = b
-    # Every parent sits below its child, so new[up] already names the root.
-    new: list[int] = []
-    reps: list[int] = []
-    old = part.reps
-    for x, up in enumerate(parent):
-        if up == x:
-            new.append(len(reps))
-            reps.append(old[x])
-        else:
-            new.append(new[up])
-    if len(reps) == len(parent):
-        return part
-    return Partition(gather(ids)(new), _reps=reps)
+    return _renumber(part, parent)
 
 
 def pair_join(part: Partition, row: Sequence[int]) -> Partition:
@@ -323,22 +302,32 @@ def pair_join(part: Partition, row: Sequence[int]) -> Partition:
     ``row`` must map every block onto one block and be an involution on
     blocks, as a colour does on the components over colours it commutes
     with (or on singletons).  Then each merged block is a pair, read at the
-    representatives alone, with no union-find: the smaller id is the root,
-    so numbering the roots in block order keeps the ids canonical and each
-    root keeps its block's smallest flag.
+    representatives alone, with no union-find: each block's target is its
+    parent for :func:`_renumber`, which merges the larger of a pair.
     """
-    ids, old = part.ids, part.reps
+    return _renumber(part, gather(gather(part.reps)(row))(part.ids))
+
+
+def _renumber(part: Partition, parent: Sequence[int]) -> Partition:
+    """``part`` with block ``x`` merged into block ``parent[x]`` when
+    ``parent[x] < x``, a root otherwise; ``part`` itself when all are roots.
+
+    A parent below its block is renumbered first, so ``new[parent[x]]``
+    already names its root.  Roots are numbered in block order, which keeps
+    the ids canonical, and each keeps its block's smallest flag.
+    """
     new: list[int] = []
     reps: list[int] = []
-    for b, t in enumerate(gather(gather(old)(row))(ids)):
-        if t < b:
-            new.append(new[t])
+    old = part.reps
+    for x, up in enumerate(parent):
+        if up < x:
+            new.append(new[up])
         else:
             new.append(len(reps))
-            reps.append(old[b])
+            reps.append(old[x])
     if len(reps) == len(new):
         return part
-    return Partition(gather(ids)(new), _reps=reps)
+    return Partition(gather(part.ids)(new), _reps=reps)
 
 
 def components(graph: ColouredGraph, colours: Iterable[int]) -> Partition:

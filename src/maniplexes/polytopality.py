@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import combinations, islice
 from typing import Iterable, Iterator, Optional
 
-from .errors import InconsistentVerdicts
+from .errors import InconsistentVerdicts, WorkLimit
 from .graphs import first_split, numbers
 from .maniplex import Maniplex
 from .posets import (
@@ -34,6 +34,11 @@ from .posets import (
     induced_poset,
     is_polytope,
 )
+
+
+#: Most flag ids ``check_cip`` may read, its ``2^n`` colour masks times the
+#: flags: bit-flip rank 12 (``2^24``) is checked, rank 13 (``2^26``) refused.
+CIP_WORK_CAP = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -164,7 +169,16 @@ def check_cip(m: Maniplex) -> CheckResult:
     Singletons hold trivially.  Every smaller subset has held when ``S`` is
     reached, so the meet over ``S`` is the partition with ``S`` minus its
     last colour removed, met with the one with that colour removed.
+
+    Raises :class:`~maniplexes.errors.WorkLimit` before any mask is built
+    when ``2^n`` masks of ``F`` flags exceed :data:`CIP_WORK_CAP`.
     """
+    work = m.size << m.rank
+    if work > CIP_WORK_CAP:
+        raise WorkLimit(
+            f"CIP needs {1 << m.rank} colour masks of {m.size} flags, "
+            f"{work} flag ids, over the cap of {CIP_WORK_CAP}"
+        )
     failure = next(_failures(m, _subsets(m.rank)), None)
     if failure is None:
         return CheckResult(True)
@@ -242,7 +256,8 @@ def is_polytopal(m: Maniplex) -> PolytopalityReport:
     poset to be a polytope and the maniplex to be faithful: the poset of two
     squares modulo their joint half-turn is a polytope, but not faithfully
     so.  When polytopal, the report includes the certified isomorphism
-    ``beta`` onto the flag graph of the maniplex's own poset.
+    ``beta`` onto the flag graph of the maniplex's own poset.  An input
+    over CIP's cap is refused by :func:`check_cip` before any check runs.
     """
     cip = check_cip(m)
     wpip = check_wpip(m)

@@ -166,6 +166,34 @@ def test_check_json_of_a_polytope_poset_without_faithfulness_matches_golden(
     assert poset["is_polytope"] is True and poset["faithful"]["holds"] is False
 
 
+@pytest.mark.parametrize("rank", [14, 16])
+def test_check_over_the_cip_cap_exits_two_after_validation(tmp_path, rank):
+    # 2^28 and 2^32 flag ids: refused with WorkLimit once the file is parsed
+    # and validated, where CIP would once have filled the memory
+    from conftest import deadline
+    from maniplexes import bitflip, write_mpx
+
+    f = tmp_path / f"bitflip{rank}.mpx"
+    f.write_text(write_mpx(bitflip(rank).graph))
+    with deadline(20):
+        r = run("check", "--json", f)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == (
+        f"error: CIP needs {1 << rank} colour masks of {1 << rank} flags, "
+        f"{1 << 2 * rank} flag ids, over the cap of 16777216\n"
+    )
+
+
+def test_check_at_the_cip_cap_answers(tmp_path):
+    from maniplexes import bitflip, write_mpx
+
+    f = tmp_path / "bitflip12.mpx"
+    f.write_text(write_mpx(bitflip(12).graph))
+    r = run("check", "--json", f)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["polytopal"] is True
+
+
 def test_missing_file_exits_66():
     r = run("check", "/no/such/file.mpx")
     assert r.returncode == 66

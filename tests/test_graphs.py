@@ -48,6 +48,7 @@ from maniplexes.graphs import (
     join,
     numbers,
     orbit,
+    pair_join,
 )
 import oracles
 from conftest import lines_run, relabelled, shares_numbers
@@ -77,6 +78,16 @@ def test_build_graph_rejects_rank_zero():
 def test_build_graph_rejects_rank_above_word_size():
     with pytest.raises(OutOfRange):
         build_graph(65, [[1, 0]] * 65)
+
+
+def test_build_graph_rejects_a_missing_matching():
+    with pytest.raises(SizeMismatch, match="^expected 2 matchings, got 1$"):
+        build_graph(2, [[1, 0]])
+
+
+def test_build_graph_rejects_a_graph_without_flags():
+    with pytest.raises(OutOfRange, match="^graph needs at least one flag$"):
+        build_graph(1, [[]])
 
 
 def test_build_graph_rejects_ragged_rows():
@@ -381,6 +392,41 @@ def partitions(draw, size=12):
     n_blocks = draw(st.integers(1, size))
     ids = [rng.randrange(n_blocks) for _ in range(size)]
     return Partition(ids)
+
+
+@given(partitions(), st.data())
+def test_pair_join_along_a_block_involution_matches_join(part, data):
+    """A map that sends each block onto the block an involution ``sigma``
+    pairs it with merges the same blocks under either kernel, id for id,
+    each block's smallest flag its representative; under the identity
+    ``sigma`` nothing merges and ``part`` comes back."""
+    blocks = part.blocks()
+    order = data.draw(st.permutations(range(len(blocks))))
+    sigma = list(range(len(blocks)))
+    for a, b in zip(order[::2], order[1::2]):
+        if data.draw(st.booleans()):
+            sigma[a], sigma[b] = b, a
+    row = [data.draw(st.sampled_from(blocks[sigma[b]])) for b in part.ids]
+    got, want = pair_join(part, row), join(part, row)
+    assert (got.ids, got.block_count()) == (want.ids, want.block_count())
+    assert list(got.reps) == [b[0] for b in got.blocks()]
+    assert list(got.reps) == list(want.reps)
+    same = [data.draw(st.sampled_from(blocks[b])) for b in part.ids]
+    assert pair_join(part, same) is part
+
+
+def test_pair_join_matches_the_oracle_on_every_mask_and_colour_of_bitflip_5():
+    # Every colour of a bit-flip maniplex commutes with every other, so each
+    # colour of a mask pairs the components over the rest of the mask.
+    g = bitflip(5).graph
+    for mask in range(1, 1 << g.rank):
+        cols = [c for c in g.colours() if mask >> c & 1]
+        want = oracles.components(g, cols)
+        for c in cols:
+            prefix = oracles.components(g, [d for d in cols if d != c])
+            got = pair_join(prefix, g.matchings[c])
+            assert got.ids == want.ids, (mask, c)
+            assert list(got.reps) == [b[0] for b in want.blocks()], (mask, c)
 
 
 @given(partitions(), partitions())

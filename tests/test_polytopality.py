@@ -31,10 +31,11 @@ from maniplexes import (
     rectified_cubic_3torus,
     torus_44,
 )
-from maniplexes.errors import InconsistentVerdicts, NotAPolytope
+from maniplexes.errors import InconsistentVerdicts, NotAPolytope, WorkLimit
 from maniplexes import polytopality as polytopality_module
 from maniplexes.graphs import first_split
 from maniplexes.polytopality import (
+    CIP_WORK_CAP,
     _certify_beta,
     _failures,
     _spip_families,
@@ -284,6 +285,18 @@ def test_each_mask_pair_is_split_once_per_maniplex(monkeypatch):
             got.append(len(calls))
         assert got == want, n
         assert len(m._splits) == sum(want), n
+
+
+def test_cip_cap_admits_bitflip_12_and_refuses_bitflip_13():
+    # 2^n masks of 2^n flags: rank 12 reads 2^24 flag ids, rank 13 2^26.
+    assert (1 << 12) << 12 == CIP_WORK_CAP < (1 << 13) << 13
+    m = bitflip(13)
+    message = "CIP needs 8192 colour masks of 8192 flags, 67108864 flag ids"
+    for check in (check_cip, is_polytopal):
+        with pytest.raises(WorkLimit, match=f"^{message}, over the cap of 16777216$"):
+            check(m)
+    # refused before any mask past validation's singletons is built
+    assert list(m._parts) == [0] and not m._splits
 
 
 def test_first_split_names_no_pair_on_passing_criteria():
